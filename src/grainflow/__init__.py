@@ -25,6 +25,7 @@ from .model import (
     ModelSpec,
     Potential,
     PotentialSpec,
+    ProxNoConvergence,
     ValidationReport,
     check_a4,
     estimate_c2_norm,

@@ -34,6 +34,8 @@ __all__ = [
     "ModelSpec",
     "CheckCondition",
     "ValidationReport",
+    "SolverError",
+    "ProxNoConvergence",
     "gamma_eval",
     "gamma_prox",
     "g_eval",
@@ -44,6 +46,14 @@ __all__ = [
     "estimate_c_star",
     "check_a4",
 ]
+
+
+class SolverError(RuntimeError):
+    """An iterative solver stopped without meeting its tolerance."""
+
+
+class ProxNoConvergence(SolverError):
+    """The logarithmic gamma prox got non-finite input or exhausted its sweeps."""
 
 
 class Potential(Enum):
@@ -174,8 +184,13 @@ def gamma_prox(spec: PotentialSpec, lam, r):
     """prox of gamma: the unique minimizer of (1/(2 lam))(x - r)^2 + gamma(x).
 
     For the Logarithmic setting the first-order condition
-    x + (lam/2) log(x/(1-x)) = r is solved in the logit variable by a
-    bisection-safeguarded Newton iteration to residual <= 1e-12.
+    x + (lam/2) log(x/(1-x)) = r is solved cell by cell in the logit variable
+    s = logit(x) by a bisection-safeguarded Newton iteration.  Newton starts
+    from logit(r) (with r clipped into (0, 1)), kept inside the bracket that
+    sigmoid in [0, 1] gives, and a cell leaves the iteration once its
+    residual |sigmoid(s) + (lam/2) s - r| is <= 1e-13.  Raises
+    ``ProxNoConvergence`` if r is not finite or if some cell is still above
+    that tolerance after 200 sweeps.
     """
     if np.any(np.asarray(lam) <= 0):
         raise ValueError("prox parameter lam must be positive")
@@ -200,28 +215,52 @@ def _sigmoid(s):
     return out
 
 
+_LOG_PROX_TOL = 1e-13
+_LOG_PROX_MAX_SWEEPS = 200
+
+
 def _log_prox(lam: float, r: np.ndarray) -> np.ndarray:
     # phi(s) = sigmoid(s) + (lam/2) s - r is strictly increasing in s = logit(x);
     # bracket from sigmoid in [0, 1], then Newton steps kept inside the bracket.
+    # Cells are dropped from the working set once they meet the tolerance.
+    if not np.all(np.isfinite(r)):
+        raise ProxNoConvergence(
+            f"logarithmic prox got {int(np.sum(~np.isfinite(r)))} non-finite input cells"
+        )
     half = 0.5 * lam
-    lo = (r - 1.0) / half
-    hi = r / half
-    s = 0.5 * (lo + hi)
-    for _ in range(200):
+    rest = r.ravel()
+    out = np.empty_like(rest)
+    idx = np.arange(rest.size)
+    lo = (rest - 1.0) / half
+    hi = rest / half
+    x0 = np.clip(rest, 5e-324, np.nextafter(1.0, 0.0))
+    s = np.clip(np.log(x0) - np.log1p(-x0), lo, hi)
+    for _ in range(_LOG_PROX_MAX_SWEEPS):
         sig = _sigmoid(s)
-        phi = sig + half * s - r
+        phi = sig + half * s - rest
+        done = np.abs(phi) <= _LOG_PROX_TOL
+        out[idx[done]] = sig[done]
+        todo = ~done
+        if not todo.any():
+            break
+        idx, s, sig, phi, rest, lo, hi = (
+            a[todo] for a in (idx, s, sig, phi, rest, lo, hi)
+        )
         lo = np.where(phi < 0, s, lo)
         hi = np.where(phi >= 0, s, hi)
-        if np.max(np.abs(phi)) <= 1e-13:
-            break
-        dphi = sig * (1.0 - sig) + half
-        step = phi / dphi
-        s_new = s - step
-        bad = (s_new <= lo) | (s_new >= hi)
+        s_new = s - phi / (sig * (1.0 - sig) + half)
+        # where sigmoid saturates, Newton aims at a bracket end itself, so
+        # landing on one is accepted; a step that does not move is not
+        bad = (s_new < lo) | (s_new > hi) | (s_new == s)
         s = np.where(bad, 0.5 * (lo + hi), s_new)
+    else:
+        raise ProxNoConvergence(
+            f"logarithmic prox left {idx.size} cells above {_LOG_PROX_TOL:.0e} after "
+            f"{_LOG_PROX_MAX_SWEEPS} sweeps (worst residual {np.max(np.abs(phi)):.3e})"
+        )
     # keep the output strictly inside (0, 1) so gamma' stays finite even when
     # the true minimizer is closer to an endpoint than floats can represent
-    return np.clip(_sigmoid(s), 5e-324, np.nextafter(1.0, 0.0))
+    return np.clip(out.reshape(r.shape), 5e-324, np.nextafter(1.0, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -237,6 +237,8 @@ def nu_limit_study(init: PhaseState, model: ModelSpec, nu_schedule,
             n_steps=params.n_steps,
             record_every=params.n_steps,
             override_h_gate=params.override_h_gate,
+            vstep=params.vstep,
+            thetastep=params.thetastep,
         )
         traj = run(init, model, p)
         aggregates.append(params.h * sum(e.nu_dirichlet_term for e in traj.energies[1:]))

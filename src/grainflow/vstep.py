@@ -31,22 +31,17 @@ from .grid import (
     grad_operator_norm_bound,
     laplacian_arrays,
 )
-from .model import ModelSpec
+from .model import ModelSpec, SolverError
 
 __all__ = [
     "SolverError",
     "OuterNoConvergence",
     "InnerNoConvergence",
-    "InfeasibleGamma",
     "VStepParams",
     "VStepReport",
     "v_step",
     "v_step_perturbation_bound",
 ]
-
-
-class SolverError(RuntimeError):
-    pass
 
 
 class OuterNoConvergence(SolverError):
@@ -55,10 +50,6 @@ class OuterNoConvergence(SolverError):
 
 class InnerNoConvergence(SolverError):
     """Proximal-gradient inner loop exhausted max_inner."""
-
-
-class InfeasibleGamma(SolverError):
-    """No feasible point for the convex part (cannot occur for g1-g3 with valid init)."""
 
 
 @dataclass
@@ -93,7 +84,6 @@ class VStepReport:
     final_contraction_ratio: float
     inner_iters_total: int
     box_violation: float
-    residual: float
     ratios: tuple = ()
 
 
@@ -170,7 +160,6 @@ def v_step(v_prev, theta_prev: ScalarField, model: ModelSpec, nu: float,
         final_contraction_ratio=max(ratios) if ratios else 0.0,
         inner_iters_total=inner_total,
         box_violation=box_violation,
-        residual=residual,
         ratios=tuple(ratios),
     )
     v_new = (ScalarField(grid, w), ScalarField(grid, e))

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -9,6 +10,7 @@ from grainflow import (
     ModelSpec,
     Potential,
     PotentialSpec,
+    SolverError,
     check_a4,
     estimate_c2_norm,
     estimate_c_star,
@@ -18,6 +20,7 @@ from grainflow import (
     grad_g,
     mobility_eval,
 )
+from grainflow import model as model_module
 from grainflow.model import hessian_g
 
 G1 = PotentialSpec(Potential.POLYNOMIAL)
@@ -98,6 +101,62 @@ def test_gamma_prox_optimality_residual(lam, r, which):
             assert s <= 1e-10
         else:
             assert s >= -1e-10
+
+
+def test_gamma_prox_logarithmic_keeps_2d_shape(rng):
+    r = rng.uniform(-0.5, 1.5, size=(32, 32))
+    x = gamma_prox(G2, 0.054, r)
+    assert x.shape == (32, 32)
+    assert np.all((x > 0.0) & (x < 1.0))
+
+
+def test_gamma_prox_logarithmic_mixed_cells_match_scalar_calls(rng):
+    # saturated cells at both ends, central cells and the exact point 0.5
+    lam = 0.054
+    r = np.concatenate([
+        [-3.0, 1.0 + 8.0 * lam, 0.5, 0.5],
+        rng.uniform(0.05, 0.95, size=60),
+    ])
+    rng.shuffle(r)
+    x = gamma_prox(G2, lam, r)
+    logit = np.log(x) - np.log1p(-x)
+    # rounding x to a double moves logit(x) by up to spacing(x) / (x (1 - x)):
+    # about 1e-9 at r = 1 + 8 lam, where 1 - x is near 1e-7, and negligible
+    # elsewhere
+    rounding = 0.5 * lam * np.spacing(x) / (x * (1.0 - x))
+    assert np.all(np.abs(x + 0.5 * lam * logit - r) <= 1e-12 + rounding)
+    scalar = np.array([gamma_prox(G2, lam, float(ri)) for ri in r])
+    assert np.all(np.abs(x - scalar) <= 1e-13)
+
+
+def test_gamma_prox_logarithmic_rejects_nan():
+    with pytest.raises(SolverError, match="non-finite"):
+        gamma_prox(G2, 0.054, np.array([0.2, math.nan, 0.7]))
+
+
+def test_gamma_prox_logarithmic_raises_when_sweeps_run_out(monkeypatch):
+    monkeypatch.setattr(model_module, "_LOG_PROX_MAX_SWEEPS", 1)
+    with pytest.raises(SolverError, match="2 cells above .* after 1 sweeps"):
+        gamma_prox(G2, 0.054, np.array([0.2, 0.5, 0.7]))
+
+
+def test_gamma_prox_logarithmic_few_sweeps(rng, monkeypatch):
+    # converged cells must leave the iteration instead of being sent back to
+    # bisection; one sigmoid evaluation per sweep
+    sweeps = []
+    sigmoid = model_module._sigmoid
+
+    def counting_sigmoid(s):
+        sweeps.append(s.size)
+        return sigmoid(s)
+
+    monkeypatch.setattr(model_module, "_sigmoid", counting_sigmoid)
+    lam = 0.054
+    r = rng.uniform(0.15, 0.6, size=1024)
+    x = gamma_prox(G2, lam, r)
+    assert 0 < len(sweeps) <= 8
+    logit = np.log(x) - np.log1p(-x)
+    assert np.all(np.abs(x + 0.5 * lam * logit - r) <= 1e-12)
 
 
 def test_gamma_prox_rejects_nonpositive_lambda():

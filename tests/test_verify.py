@@ -11,6 +11,8 @@ from grainflow import (
     Potential,
     PotentialSpec,
     SchemeParams,
+    ThetaStepParams,
+    VStepParams,
     check_box,
     check_dissipation,
     check_gamma_sandwich,
@@ -22,6 +24,7 @@ from grainflow import (
     random_smooth_field,
     run,
 )
+from grainflow import verify
 from grainflow.cli import make_initial
 from grainflow.scheme import validate_initial
 from grainflow.verify import check_energy_bound
@@ -127,6 +130,27 @@ def test_nu_limit_study_validates_schedule(g1_model):
         nu_limit_study(init, g1_model, [0.1, 0.2], params)
     with pytest.raises(ValueError):
         nu_limit_study(init, g1_model, [], params)
+
+
+def test_nu_limit_study_passes_solver_tolerances(g1_model, monkeypatch):
+    grid = GridSpec(1, (16,), 1.0)
+    init = make_initial("random", grid, g1_model, seed=1)
+    h = 0.5 * h_star(g1_model)
+    vparams = VStepParams(h=h, outer_tol=1e-6, inner_tol=1e-7)
+    tparams = ThetaStepParams(h=h, gap_tol=1e-6)
+    params = SchemeParams(h=h, nu=0.5, n_steps=2, vstep=vparams, thetastep=tparams)
+    seen = []
+
+    def spy(init_state, model, p):
+        seen.append(p)
+        return run(init_state, model, p)
+
+    monkeypatch.setattr(verify, "run", spy)
+    nu_limit_study(init, g1_model, [0.5, 0.05], params)
+    assert [p.nu for p in seen] == [0.5, 0.05]
+    for p in seen:
+        assert (p.vstep.outer_tol, p.vstep.inner_tol) == (1e-6, 1e-7)
+        assert p.thetastep.gap_tol == 1e-6
 
 
 def test_nu_zero_included_as_last_entry(g1_model):
