@@ -51,6 +51,7 @@ import sys
 
 import numpy as np
 
+from .energy import free_energy
 from .grid import GridSpec, PhaseState, ScalarField, save_field, save_field_raw
 from .model import MobilityKind, MobilitySpec, ModelSpec, Potential, PotentialSpec
 from .scheme import SchemeParams, h_star, run as scheme_run, validate_initial
@@ -76,31 +77,46 @@ class ConfigError(ValueError):
     pass
 
 
+CONFIG_KEYS = {
+    "model": {"potential", "c", "u", "o_star", "iota_star", "mobility", "kappa", "a0", "a", "b"},
+    "grid": {"dim", "shape", "dx"},
+    "scheme": {"h", "h_frac", "nu", "n_steps", "record_every", "override_h_gate", "outer_tol",
+               "inner_tol", "gap_tol"},
+    "init": {"kind", "seed", "amplitude", "n_grains"},
+    "output": {"directory", "formats"},
+    "verify": {"n_oracle"}, "sweep": {"nus"}, "probe": {"n_probes"},
+}
+_REQUIRED = object()
+
+
 class RunConfig:
     """Parsed config: section dicts plus a digest of the canonical text
-    (the init seed is kept out of the digest and reported alongside it)."""
+    (the init seed is kept out of the digest and reported alongside it).
+    Sections and keys outside ``CONFIG_KEYS`` are rejected."""
 
     def __init__(self, sections, path="<memory>"):
+        for section, entries in sections.items():
+            if section not in CONFIG_KEYS:
+                raise ConfigError(f"{path}: unknown section [{section}]")
+            for key in entries:
+                if key not in CONFIG_KEYS[section]:
+                    raise ConfigError(f"{path}: unknown key {section}.{key}")
         self.sections = sections
         self.path = path
 
-    def get(self, section, key, default=None, cast=str):
+    def get(self, section, key, default=_REQUIRED, cast=str):
         try:
             raw = self.sections[section][key]
         except KeyError:
-            if default is not None or self._optional(section, key):
-                return default
-            raise ConfigError(f"{section}.{key}: missing required key") from None
+            if default is _REQUIRED:
+                raise ConfigError(f"{section}.{key}: missing required key") from None
+            return default
         try:
             if cast is bool:
                 return raw.strip().lower() in ("1", "true", "yes", "on")
             return cast(raw)
         except (TypeError, ValueError) as err:
             raise ConfigError(f"{section}.{key}: cannot parse {raw!r} ({err})") from None
-
-    @staticmethod
-    def _optional(section, key):
-        return True  # presence errors are raised by callers passing default=None
 
     def has(self, section, key):
         return section in self.sections and key in self.sections[section]
@@ -183,10 +199,7 @@ def build_model(cfg: RunConfig) -> ModelSpec:
 
 def build_grid(cfg: RunConfig) -> GridSpec:
     dim = cfg.get("grid", "dim", default=1, cast=int)
-    shape_tok = cfg.get("grid", "shape", default=None)
-    if shape_tok is None:
-        raise ConfigError("grid.shape: missing required key")
-    shape = tuple(int(t) for t in shape_tok.lower().split("x"))
+    shape = tuple(int(t) for t in cfg.get("grid", "shape").lower().split("x"))
     try:
         return GridSpec(dim, shape, cfg.get("grid", "dx", default=1.0, cast=float))
     except ValueError as err:
@@ -356,35 +369,30 @@ def _initial_state(cfg, grid, model):
     )
 
 
-def cmd_run(args) -> int:
+def _run_logged(args):
+    """Set-up, initial state and time loop, with its energy log and snapshots."""
     cfg, model, grid, params, outdir, formats = _setup(args)
     state = _initial_state(cfg, grid, model)
     sink = OutputSink(outdir, cfg.digest, cfg.seed, formats)
     try:
-        from .energy import free_energy
-
         sink.write_initial(state, free_energy(state, model, params.nu))
         traj = scheme_run(state, model, params, sink=sink)
     finally:
         sink.close()
+    return cfg, model, grid, params, outdir, traj
+
+
+def cmd_run(args) -> int:
+    *_, outdir, traj = _run_logged(args)
     flag = " (outside theorem hypotheses)" if traj.outside_hypotheses else ""
     print(f"run complete: {traj.n_steps} steps, final energy "
           f"{traj.energies[-1].total:.6e}{flag}")
-    print(f"energy log: {sink.energy_path}")
+    print(f"energy log: {os.path.join(outdir, 'energy.csv')}")
     return 0
 
 
 def cmd_verify(args) -> int:
-    cfg, model, grid, params, outdir, formats = _setup(args)
-    state = _initial_state(cfg, grid, model)
-    sink = OutputSink(outdir, cfg.digest, cfg.seed, formats)
-    try:
-        from .energy import free_energy
-
-        sink.write_initial(state, free_energy(state, model, params.nu))
-        traj = scheme_run(state, model, params, sink=sink)
-    finally:
-        sink.close()
+    cfg, model, grid, params, outdir, traj = _run_logged(args)
     results = [
         check_dissipation(traj),
         check_box(traj),

@@ -12,6 +12,7 @@ holds to machine precision.  All integrals are cell sums times ``dx**dim``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,7 @@ __all__ = [
     "load_field",
     "save_field_raw",
     "load_field_raw",
+    "Stencil",
 ]
 
 
@@ -174,12 +176,78 @@ def laplacian_arrays(values: np.ndarray, dx: float) -> np.ndarray:
     return div_arrays(grad_arrays(values, dx), dx)
 
 
+def sq_norm_arrays(comps) -> np.ndarray:
+    """Cellwise squared Euclidean norm of a vector field's components."""
+    sq = comps[0] ** 2
+    for c in comps[1:]:
+        sq += c**2
+    return sq
+
+
 def grad_norm_arrays(values: np.ndarray, dx: float) -> np.ndarray:
     """Euclidean cell norm |grad f| of the forward-difference gradient."""
     comps = grad_arrays(values, dx)
     if len(comps) == 1:
         return np.abs(comps[0])
     return np.sqrt(comps[0] ** 2 + comps[1] ** 2)
+
+
+class Stencil:
+    """:func:`grad_arrays` / :func:`div_arrays` on flat C-order fields of n
+    cells, with buffers, for the solver loops.  The difference along axis k
+    is one subtract at flat stride ``steps[k]``; ``mask`` zeroes each
+    component's far boundary (``scale`` is mask/dx).  A flux lives in a
+    ``(dim, lead + n)`` buffer from :meth:`flux`, its field in
+    ``buf[:, lead:]`` after ``lead = max(steps)`` zeros, so the divergence
+    reads each shifted component straight from the buffer (at a row start the
+    stride-1 axis reads the previous row's far-boundary 0).  Axis differences
+    are summed, then scaled by 1/dx once: the Laplacian equals
+    :func:`laplacian_arrays` bitwise when 1/dx is a power of two.
+    """
+
+    def __init__(self, shape, dx: float):
+        shape = tuple(shape)
+        self.dim, self.n = len(shape), math.prod(shape)
+        self.steps = tuple(math.prod(shape[k + 1:]) for k in range(self.dim))
+        self.lead = self.steps[0]
+        self.inv = 1.0 / dx
+        cell = np.arange(self.n)
+        self.mask = np.array([cell // s % m != m - 1 for s, m in zip(self.steps, shape)], float)
+        self.scale = self.mask * self.inv
+        self._tmp = np.empty(self.n)
+        self._lap = self.flux()
+
+    def flux(self) -> np.ndarray:
+        """A zeroed ``(dim, lead + n)`` flux buffer."""
+        return np.zeros((self.dim, self.lead + self.n))
+
+    def grad(self, f: np.ndarray, out: np.ndarray, scale=None) -> np.ndarray:
+        """out[k] = scale[k] (default: ``self.scale[k]``) times the forward
+        difference of the flat f along axis k, into a ``(dim, n)`` out whose
+        entries are finite (those on the far boundary are overwritten by 0)."""
+        for k, s in enumerate(self.steps):
+            np.subtract(f[s:], f[:-s], out=out[k, :-s])
+        out *= self.scale if scale is None else scale
+        return out
+
+    def div(self, buf: np.ndarray, out: np.ndarray, scale=None) -> np.ndarray:
+        """out (n cells) = scale (default: 1/dx) times the summed backward
+        differences of the flux ``buf[:, lead:]``, whose far-boundary entries
+        must be 0; with the default this is the divergence."""
+        n, lead = self.n, self.lead
+        for k, s in enumerate(self.steps):
+            dst = out if k == 0 else self._tmp
+            np.subtract(buf[k, lead:], buf[k, lead - s:lead - s + n], out=dst)
+            if k:
+                out += dst
+        out *= self.inv if scale is None else scale
+        return out
+
+    def laplacian(self, f: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out = div(grad f), with out a contiguous array of n cells."""
+        self.grad(f.reshape(-1), self._lap[:, self.lead:])
+        self.div(self._lap, out.reshape(-1))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +308,7 @@ def weighted_dirichlet_energy(b: ScalarField, f: ScalarField) -> float:
     """sum b |grad f|^2 dx**dim with cell weights b >= 0 (no 1/2 factor)."""
     if np.any(b.values < 0):
         raise ValueError("weighted_dirichlet_energy requires a nonnegative weight")
-    comps = grad_arrays(f.values, f.grid.dx)
-    sq = comps[0] ** 2
-    for c in comps[1:]:
-        sq += c**2
+    sq = sq_norm_arrays(grad_arrays(f.values, f.grid.dx))
     return float(np.sum(b.values * sq)) * f.grid.cell_volume
 
 

@@ -188,7 +188,8 @@ def gamma_prox(spec: PotentialSpec, lam, r):
     s = logit(x) by a bisection-safeguarded Newton iteration.  Newton starts
     from logit(r) (with r clipped into (0, 1)), kept inside the bracket that
     sigmoid in [0, 1] gives, and a cell leaves the iteration once its
-    residual |sigmoid(s) + (lam/2) s - r| is <= 1e-13.  Raises
+    residual |sigmoid(s) + (lam/2) s - r| is <= max(1e-13, 4 eps |r|): past
+    |r| of about 100 the rounding of r alone exceeds 1e-13.  Raises
     ``ProxNoConvergence`` if r is not finite or if some cell is still above
     that tolerance after 200 sweeps.
     """
@@ -233,18 +234,19 @@ def _log_prox(lam: float, r: np.ndarray) -> np.ndarray:
     idx = np.arange(rest.size)
     lo = (rest - 1.0) / half
     hi = rest / half
+    tol = np.maximum(_LOG_PROX_TOL, 4.0 * np.finfo(float).eps * np.abs(rest))
     x0 = np.clip(rest, 5e-324, np.nextafter(1.0, 0.0))
     s = np.clip(np.log(x0) - np.log1p(-x0), lo, hi)
     for _ in range(_LOG_PROX_MAX_SWEEPS):
         sig = _sigmoid(s)
         phi = sig + half * s - rest
-        done = np.abs(phi) <= _LOG_PROX_TOL
+        done = np.abs(phi) <= tol
         out[idx[done]] = sig[done]
         todo = ~done
         if not todo.any():
             break
-        idx, s, sig, phi, rest, lo, hi = (
-            a[todo] for a in (idx, s, sig, phi, rest, lo, hi)
+        idx, s, sig, phi, rest, lo, hi, tol = (
+            a[todo] for a in (idx, s, sig, phi, rest, lo, hi, tol)
         )
         lo = np.where(phi < 0, s, lo)
         hi = np.where(phi >= 0, s, hi)
@@ -255,8 +257,8 @@ def _log_prox(lam: float, r: np.ndarray) -> np.ndarray:
         s = np.where(bad, 0.5 * (lo + hi), s_new)
     else:
         raise ProxNoConvergence(
-            f"logarithmic prox left {idx.size} cells above {_LOG_PROX_TOL:.0e} after "
-            f"{_LOG_PROX_MAX_SWEEPS} sweeps (worst residual {np.max(np.abs(phi)):.3e})"
+            f"logarithmic prox left {idx.size} cells above max({_LOG_PROX_TOL:.0e}, 4 eps|r|)"
+            f" after {_LOG_PROX_MAX_SWEEPS} sweeps (worst residual {np.max(np.abs(phi)):.3e})"
         )
     # keep the output strictly inside (0, 1) so gamma' stays finite even when
     # the true minimizer is closer to an endpoint than floats can represent

@@ -30,9 +30,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import ScalarField, div_arrays, grad_arrays, grad_operator_norm_bound
-from .model import ModelSpec
-from .vstep import SolverError
+from .grid import (ScalarField, Stencil, div_arrays, grad_arrays, grad_operator_norm_bound,
+                   sq_norm_arrays)
+from .model import ModelSpec, SolverError
 
 __all__ = [
     "ThetaNoConvergence",
@@ -104,10 +104,7 @@ def _mobility_weights(v_new, model: ModelSpec):
 def _objective_parts(t, t0, a0, aw, nb_half, h, dx, vol):
     """(data, wtv, quad) value parts; nb_half = 2*nu*beta weights or None."""
     data = 0.5 / h * float(np.vdot(a0 * (t - t0), t - t0).real) * vol
-    comps = grad_arrays(t, dx)
-    sq = comps[0] ** 2
-    for c in comps[1:]:
-        sq += c**2
+    sq = sq_norm_arrays(grad_arrays(t, dx))
     wtv = float(np.sum(aw * np.sqrt(sq))) * vol
     quad = 0.5 * float(np.sum(nb_half * sq)) * vol if nb_half is not None else 0.0
     return data, wtv, quad
@@ -149,21 +146,16 @@ def theta_step(theta_prev: ScalarField, v_new, model: ModelSpec, nu: float,
         tau = ratio / np.sqrt(gn2)
         sigma = 1.0 / (ratio * np.sqrt(gn2))
 
-    t = t0.copy()
-    tbar = t.copy()
     if warm_dual is not None:
-        p = [c.copy() for c in warm_dual]
+        p = warm_dual
     else:
         g0 = grad_arrays(t0, dx)
-        mag = g0[0] ** 2
-        for c in g0[1:]:
-            mag = mag + c**2
-        mag = np.sqrt(mag)
+        mag = np.sqrt(sq_norm_arrays(g0))
         safe = np.where(mag > 0, mag, 1.0)
         p = [aw * c / safe + (nb * c if nb is not None else 0.0) for c in g0]
         _project_dual(p, aw, nb, 1.0)
 
-    loop = _PdhgLoop(t0, a0, aw, nb, h, dx, tau, sigma, t, tbar, p)
+    loop = _PdhgLoop(t0, a0, aw, nb, h, dx, tau, sigma, p)
     chosen = None
     last = None
     prev_hat = None
@@ -175,16 +167,11 @@ def theta_step(theta_prev: ScalarField, v_new, model: ModelSpec, nu: float,
         burst = min(params.check_every, params.max_iters - iters)
         loop.advance(burst)
         iters += burst
-        cand = _certify(
-            loop.t, loop.p, t0, a0, aw, nb, h, dx, vol, linf_in, reconstructable
-        )
-        if loop.averaging:
-            cand_avg = _certify(
-                loop.t_avg, loop.p_avg, t0, a0, aw, nb, h, dx, vol, linf_in,
-                reconstructable,
-            )
-            if cand_avg[1] < cand[1]:
-                cand = cand_avg
+        problem = (t0, a0, aw, nb, h, dx, vol, linf_in, reconstructable)
+        cand = _certify(*loop.iterate(), *problem)
+        if loop.averaging:  # keep the iterate with the smaller reconstruction gap
+            cand = min(cand, _certify(*loop.iterate(averaged=True), *problem),
+                       key=lambda c: c[1])
         t_hat, gap_rec, gap_hat, j_hat = cand
         last = (t_hat, gap_hat, gap_rec, j_hat)
         tol_eff = max(params.gap_tol * (1.0 + abs(j_hat)), gap_abs)
@@ -221,7 +208,6 @@ def theta_step(theta_prev: ScalarField, v_new, model: ModelSpec, nu: float,
                     ratio = max(ratio * jump, min_ratio)
                 loop.set_steps(ratio / np.sqrt(gn2), 1.0 / (ratio * np.sqrt(gn2)))
             gap_history.clear()
-    p = loop.p
     if chosen is None:
         raise ThetaNoConvergence(
             f"gap {last[2]:.3e} above tolerance after {params.max_iters} iterations"
@@ -240,103 +226,75 @@ def theta_step(theta_prev: ScalarField, v_new, model: ModelSpec, nu: float,
         linf_in=linf_in,
         linf_out=float(np.abs(t_hat).max()),
         energy_decrease=decrease,
-        dual=tuple(p),
+        dual=tuple(loop.iterate()[1]),
     )
     return ScalarField(grid, t_hat), report
 
 
 class _PdhgLoop:
-    """Fused primal-dual iteration with preallocated buffers.
+    """Fused primal-dual iteration on flat fields, with preallocated buffers.
 
     One sweep: p <- dualprox(p + sigma grad(tbar)); t <- dataprox(t + tau div p);
     tbar <- 2t - t_prev.  The dual prox shrinks each cell magnitude to
     min(|z|, (nb |z| + sigma a)/(nb + sigma)), which covers both the pure
-    ball projection (nb = 0) and the quadratic-conjugate case.
+    ball projection (nb = 0) and the quadratic-conjugate case.  The dual p is
+    the ``(dim, n)`` field of a :class:`Stencil` flux buffer; its far-boundary
+    entries, which only ever multiply a zero gradient, are kept at 0.
     """
 
-    def __init__(self, t0, a0, aw, nb, h, dx, tau, sigma, t, tbar, p):
-        self.t0, self.a0, self.aw, self.nb = t0, a0, aw, nb
-        self.h, self.dx = h, dx
-        self.dim = t0.ndim
-        self.t = t.copy()
-        self.tbar = tbar.copy()
-        self.p = [c.copy() for c in p]
-        shape = t0.shape
-        self.g = [np.empty(shape) for _ in range(self.dim)]
-        self.y = np.empty(shape)
-        self.mag = np.empty(shape)
-        self.tmp = np.empty(shape)
-        self.t_next = np.empty(shape)
+    def __init__(self, t0, a0, aw, nb, h, dx, tau, sigma, p):
+        self.shape = t0.shape
+        self.st = st = Stencil(t0.shape, dx)
+        n = st.n
+        self.t0, self.a0, self.aw = (np.reshape(a, n) for a in (t0, a0, aw))
+        self.nb = np.reshape(nb, n) if nb is not None else None
+        self.h = h
+        self.t, self.tbar = self.t0.copy(), self.t0.copy()
+        self.buf = st.flux()
+        self.p = self.buf[:, st.lead:]
+        np.multiply(np.reshape(p, (st.dim, n)), st.mask, out=self.p)
+        self.g, self.sq = np.zeros((st.dim, n)), np.empty((st.dim, n))
+        self.tmp, self.t_next = np.empty(n), np.empty(n)
+        self.mag = self.sq[0] if st.dim == 1 else np.empty(n)  # 1D: |g|^2 is sq[0]
         # ergodic averages: the last iterate can orbit a degenerate dual face
         # with radius ~ tau, while the averaged pair has an O(1/k) gap.
         # Maintained lazily (enabled on the first stall) to keep the common
         # linearly-convergent path cheap.
         self.averaging = False
-        self.t_avg = None
-        self.p_avg = None
-        self.avg_count = 1
         self.set_steps(tau, sigma)
+
+    def iterate(self, averaged=False):
+        """(theta, dual) in grid shape: the last or the averaged iterate."""
+        t, p = (self.t_avg, self.p_avg) if averaged else (self.t, self.p)
+        return t.reshape(self.shape), p.reshape((self.st.dim,) + self.shape)
 
     def enable_averaging(self):
         self.averaging = True
-        self.t_avg = self.t.copy()
-        self.p_avg = [c.copy() for c in self.p]
-        self.avg_count = 1
+        self._restart_averages()
+
+    def _restart_averages(self):
+        self.t_avg, self.p_avg, self.avg_count = self.t.copy(), self.p.copy(), 1
 
     def set_steps(self, tau, sigma):
-        self.tau = tau
-        self.sigma = sigma
+        self.tau_inv = tau * self.st.inv
         coef = tau * self.a0 / self.h
         self.denom = 1.0 + coef
         self.c0 = coef * self.t0
+        self.sig_scale = sigma * self.st.scale
         self.sig_aw = sigma * self.aw
         self.nb_sig = (self.nb + sigma) if self.nb is not None else None
-        # restart the averages whenever the steps change
-        if self.averaging:
-            self.t_avg[...] = self.t
-            for pa, pc in zip(self.p_avg, self.p):
-                pa[...] = pc
-            self.avg_count = 1
-
-    def _forward_diff(self, src):
-        inv = 1.0 / self.dx
-        g = self.g
-        np.subtract(src[1:], src[:-1], out=g[0][:-1])
-        g[0][-1:] = 0.0
-        g[0] *= inv
-        if self.dim == 2:
-            np.subtract(src[:, 1:], src[:, :-1], out=g[1][:, :-1])
-            g[1][:, -1:] = 0.0
-            g[1] *= inv
-
-    def _divergence(self):
-        inv = 1.0 / self.dx
-        y = self.y
-        px = self.p[0]
-        y[0:1] = px[0:1]
-        np.subtract(px[1:-1], px[:-2], out=y[1:-1])
-        np.negative(px[-2:-1], out=y[-1:])
-        if self.dim == 2:
-            py = self.p[1]
-            y[:, 0] += py[:, 0]
-            y[:, 1:-1] += py[:, 1:-1]
-            y[:, 1:-1] -= py[:, :-2]
-            y[:, -1] -= py[:, -2]
-        y *= inv
+        if self.averaging:  # restart the averages whenever the steps change
+            self._restart_averages()
 
     def advance(self, n_iters):
-        mag, tmp = self.mag, self.tmp
+        st, g, p, sq, mag, tmp = self.st, self.g, self.p, self.sq, self.mag, self.tmp
         for _ in range(n_iters):
             # dual ascent
-            self._forward_diff(self.tbar)
-            for pk, gk in zip(self.p, self.g):
-                gk *= self.sigma
-                gk += pk
-            gsq = self.g[0]
-            np.multiply(gsq, gsq, out=mag)
-            if self.dim == 2:
-                np.multiply(self.g[1], self.g[1], out=tmp)
-                mag += tmp
+            st.grad(self.tbar, g, self.sig_scale)
+            g += p
+            np.multiply(g, g, out=sq)
+            if st.dim > 1:
+                np.add.reduce(sq, axis=0, out=mag)
             np.sqrt(mag, out=mag)
             if self.nb is None:
                 np.minimum(mag, self.aw, out=tmp)
@@ -347,36 +305,29 @@ class _PdhgLoop:
                 np.minimum(mag, tmp, out=tmp)
             np.maximum(mag, 1e-300, out=mag)
             tmp /= mag  # scale factor
-            for pk, gk in zip(self.p, self.g):
-                np.multiply(gk, tmp, out=pk)
+            np.multiply(g, tmp, out=p)
             # primal descent on the data term
-            self._divergence()
-            t_next = self.t_next
-            np.multiply(self.y, self.tau, out=t_next)
+            t_next = st.div(self.buf, self.t_next, self.tau_inv)
             t_next += self.t
             t_next += self.c0
             t_next /= self.denom
             # extrapolation, then rotate buffers
-            np.multiply(t_next, 2.0, out=self.tbar)
+            np.add(t_next, t_next, out=self.tbar)
             self.tbar -= self.t
             self.t, self.t_next = t_next, self.t
             if self.averaging:
                 self.avg_count += 1
                 w_new = 1.0 / self.avg_count
                 self.t_avg *= 1.0 - w_new
-                self.t_avg += w_new * self.t
-                for pa, pc in zip(self.p_avg, self.p):
-                    pa *= 1.0 - w_new
-                    pa += w_new * pc
+                self.t_avg += np.multiply(self.t, w_new, out=tmp)
+                self.p_avg *= 1.0 - w_new
+                self.p_avg += np.multiply(p, w_new, out=sq)
 
 
 def _project_dual(z, aw, nb, sigma):
     """In-place prox of the cellwise conjugate: radial shrink of |z| to
     min(|z|, aw) when nb = 0, else to (nb |z| + sigma aw)/(nb + sigma) past aw."""
-    mag = z[0] ** 2
-    for c in z[1:]:
-        mag = mag + c**2
-    np.sqrt(mag, out=mag)
+    mag = np.sqrt(sq_norm_arrays(z))
     if nb is None:
         target = np.minimum(mag, aw)
     else:
@@ -399,10 +350,7 @@ def _fenchel_dual_value(p, y, t0, a0, aw, nb, h, vol):
         y = np.where(zero, 0.0, y)
         a0 = np.where(zero, 1.0, a0)
     val = -float(np.sum(y * t0 + 0.5 * h * y**2 / a0)) * vol
-    mag = p[0] ** 2
-    for c in p[1:]:
-        mag = mag + c**2
-    mag = np.sqrt(mag)
+    mag = np.sqrt(sq_norm_arrays(p))
     excess = np.maximum(mag - aw, 0.0)
     if nb is None:
         if float(excess.max()) > 1e-9 * (1.0 + float(aw.max())):
@@ -461,10 +409,7 @@ def theta_step_smoothed(theta_prev: ScalarField, v_new, model: ModelSpec, nu: fl
     bw = np.broadcast_to(bw, t0.shape)
 
     def value(t):
-        comps = grad_arrays(t, dx)
-        sq = comps[0] ** 2
-        for c in comps[1:]:
-            sq += c**2
+        sq = sq_norm_arrays(grad_arrays(t, dx))
         rho = np.sqrt(sq + mu * mu)
         out = 0.5 / h * float(np.sum(a0 * (t - t0) ** 2)) * vol
         out += float(np.sum(aw * (rho - mu))) * vol
@@ -474,10 +419,7 @@ def theta_step_smoothed(theta_prev: ScalarField, v_new, model: ModelSpec, nu: fl
 
     def gradient(t):
         comps = grad_arrays(t, dx)
-        sq = comps[0] ** 2
-        for c in comps[1:]:
-            sq += c**2
-        rho = np.sqrt(sq + mu * mu)
+        rho = np.sqrt(sq_norm_arrays(comps) + mu * mu)
         flux = [aw * c / rho for c in comps]
         if nu != 0.0:
             flux = [f + 2.0 * nu * bw * c for f, c in zip(flux, comps)]
@@ -586,10 +528,7 @@ def oracle_theta_min(theta_prev: ScalarField, v_new, model: ModelSpec, nu: float
 
     def subgrad(t):
         comps = grad_arrays(t, dx)
-        sq = comps[0] ** 2
-        for c in comps[1:]:
-            sq += c**2
-        mag = np.sqrt(sq)
+        mag = np.sqrt(sq_norm_arrays(comps))
         safe = np.where(mag > 0, mag, 1.0)
         flux = [aw * np.where(mag > 0, c / safe, 0.0) for c in comps]
         if nu != 0.0:

@@ -24,13 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (
-    GridSpec,
-    ScalarField,
-    grad_arrays,
-    grad_operator_norm_bound,
-    laplacian_arrays,
-)
+from .grid import GridSpec, ScalarField, Stencil, grad_norm_arrays, grad_operator_norm_bound
 from .model import ModelSpec, SolverError
 
 __all__ = [
@@ -102,7 +96,7 @@ def v_step(v_prev, theta_prev: ScalarField, model: ModelSpec, nu: float,
     w_prev = v_prev[0].values
     e_prev = v_prev[1].values
 
-    q1 = _grad_magnitude(theta_prev.values, dx)
+    q1 = grad_norm_arrays(theta_prev.values, dx)
     q2 = nu * q1**2 if nu != 0.0 else None
 
     mob = model.mobility
@@ -114,6 +108,7 @@ def v_step(v_prev, theta_prev: ScalarField, model: ModelSpec, nu: float,
 
     w = w_prev.copy()
     e = e_prev.copy()
+    stencil = Stencil(grid.shape, dx)
 
     ratio_floor = max(1e5 * inner_tol, 1e-14)
     ratios = []
@@ -128,7 +123,7 @@ def v_step(v_prev, theta_prev: ScalarField, model: ModelSpec, nu: float,
         w_old, e_old = w.copy(), e.copy()
         w, e, inner_iters = _inner_prox_gradient(
             w, e, w_prev, e_prev, gw_frozen, ge_frozen, q1, q2, model, h, tau,
-            dx, vol, inner_tol, params.max_inner,
+            stencil, vol, inner_tol, params.max_inner,
         )
         inner_total += inner_iters
         outer_iters += 1
@@ -166,22 +161,16 @@ def v_step(v_prev, theta_prev: ScalarField, model: ModelSpec, nu: float,
     return v_new, report
 
 
-def _grad_magnitude(values: np.ndarray, dx: float) -> np.ndarray:
-    comps = grad_arrays(values, dx)
-    if len(comps) == 1:
-        return np.abs(comps[0])
-    return np.sqrt(comps[0] ** 2 + comps[1] ** 2)
-
-
 def _inner_prox_gradient(w, e, w_prev, e_prev, gw_frozen, ge_frozen, q1, q2,
-                         model: ModelSpec, h, tau, dx, vol, inner_tol, max_inner):
+                         model: ModelSpec, h, tau, stencil, vol, inner_tol, max_inner):
     """Proximal gradient on the strictly convex inner objective; gamma acts on
     w only, so eta takes plain gradient steps."""
     inv_h = 1.0 / h
+    lap = np.empty(w.shape)
     for j in range(max_inner):
         _, _, _, grad_a, grad_b = model.mobilities(w, e)
-        gw = inv_h * (w - w_prev) - laplacian_arrays(w, dx) + gw_frozen + q1 * grad_a[0]
-        ge = inv_h * (e - e_prev) - laplacian_arrays(e, dx) + ge_frozen + q1 * grad_a[1]
+        gw = inv_h * (w - w_prev) - stencil.laplacian(w, lap) + gw_frozen + q1 * grad_a[0]
+        ge = inv_h * (e - e_prev) - stencil.laplacian(e, lap) + ge_frozen + q1 * grad_a[1]
         if q2 is not None:
             gw += q2 * grad_b[0]
             ge += q2 * grad_b[1]

@@ -84,6 +84,31 @@ def test_config_key_errors(tmp_path):
         build_grid(cfg2)
 
 
+def test_config_rejects_unknown_keys_and_sections(tmp_path):
+    typo = BASE.format(out=tmp_path / "o").replace("n_steps = 4", "n_step = 100")
+    with pytest.raises(ConfigError, match=r"unknown key scheme\.n_step"):
+        parse_config(write_cfg(tmp_path, typo))
+    assert main(["run", "--config", write_cfg(tmp_path, typo, name="t.cfg")]) == 2
+    extra = BASE.format(out=tmp_path / "o") + "\n[sweeps]\nnus = 0.5\n"
+    with pytest.raises(ConfigError, match=r"unknown section \[sweeps\]"):
+        parse_config(write_cfg(tmp_path, extra, name="s.cfg"))
+
+
+def test_config_missing_required_key(tmp_path):
+    cfg = parse_config(write_cfg(tmp_path, "[grid]\ndim = 1\n"))
+    with pytest.raises(ConfigError, match="grid.shape: missing required key"):
+        build_grid(cfg)
+
+
+def test_shipped_configs_parse():
+    root = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+    for name in sorted(os.listdir(root)):
+        cfg = parse_config(os.path.join(root, name))
+        model = build_model(cfg)
+        build_grid(cfg)
+        build_scheme_params(cfg, model)
+
+
 def test_h_and_h_frac_exclusive(tmp_path):
     text = BASE.format(out=tmp_path) + "\n[scheme]\nh = 0.01\n"
     # appending a second [scheme] section merges keys: both h and h_frac set

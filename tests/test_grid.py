@@ -16,7 +16,11 @@ from grainflow import (
     weighted_tv,
 )
 from grainflow.grid import (
+    Stencil,
+    div_arrays,
+    grad_arrays,
     inner,
+    laplacian_arrays,
     load_field,
     load_field_raw,
     norm_l2,
@@ -132,6 +136,63 @@ def test_laplacian_symmetric_negative_semidefinite(rng):
         rhs = inner(f, neumann_laplacian(h))
         assert abs(lhs - rhs) <= 1e-13 * (1.0 + abs(lhs))
         assert inner(neumann_laplacian(f), f) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# buffered stencil of the solver loops
+# ---------------------------------------------------------------------------
+
+STENCIL_SHAPES = [(2,), (64,), (2, 3), (5, 7), (32, 32)]
+
+
+def stencil_pair(shape, dx, rng):
+    """Kernel and reference gradient and divergence of random data; the
+    kernel's flux has its far-boundary entries zeroed, which div_arrays
+    ignores."""
+    stencil = Stencil(shape, dx)
+    f = rng.normal(size=shape)
+    comps = [rng.normal(size=shape) for _ in shape]
+    grad = stencil.grad(f.ravel(), np.zeros((len(shape), stencil.n)))
+    buf = stencil.flux()
+    buf[:, stencil.lead:] = np.reshape(comps, (len(shape), -1)) * stencil.mask
+    div = stencil.div(buf, np.empty(stencil.n)).reshape(shape)
+    ref = (grad_arrays(f, dx), div_arrays(comps, dx))
+    return (grad.reshape((len(shape),) + shape), div), ref
+
+
+@pytest.mark.parametrize("shape", STENCIL_SHAPES)
+def test_stencil_bitwise_at_unit_spacing(shape, rng):
+    (grad, div), (grad_ref, div_ref) = stencil_pair(shape, 1.0, rng)
+    assert all(np.array_equal(g, r) for g, r in zip(grad, grad_ref))
+    assert np.array_equal(div, div_ref)
+
+
+@pytest.mark.parametrize("shape", STENCIL_SHAPES)
+def test_stencil_matches_reference_to_rounding(shape, rng):
+    # 1/dx is applied once after the axis sum instead of once per axis
+    (grad, div), (grad_ref, div_ref) = stencil_pair(shape, 0.3, rng)
+    assert all(np.array_equal(g, r) for g, r in zip(grad, grad_ref))
+    assert np.max(np.abs(div - div_ref)) <= 1e-15 * np.max(np.abs(div_ref))
+
+
+@pytest.mark.parametrize("shape", STENCIL_SHAPES)
+@pytest.mark.parametrize("dx", [1.0, 0.5])
+def test_stencil_laplacian_bitwise(shape, dx, rng):
+    f = rng.normal(size=shape)
+    out = Stencil(shape, dx).laplacian(f, np.empty(shape))
+    assert np.array_equal(out, laplacian_arrays(f, dx))
+
+
+@pytest.mark.parametrize("shape", STENCIL_SHAPES)
+def test_stencil_adjointness(shape, rng):
+    stencil = Stencil(shape, 0.3)
+    f = rng.normal(size=stencil.n)
+    buf = stencil.flux()
+    buf[:, stencil.lead:] = rng.normal(size=(len(shape), stencil.n)) * stencil.mask
+    lhs = float(np.sum(stencil.grad(f, np.zeros((len(shape), stencil.n)))
+                       * buf[:, stencil.lead:]))
+    rhs = -float(f @ stencil.div(buf, np.empty(stencil.n)))
+    assert abs(lhs - rhs) <= 1e-13 * (1.0 + abs(lhs))
 
 
 # ---------------------------------------------------------------------------

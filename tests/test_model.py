@@ -159,6 +159,24 @@ def test_gamma_prox_logarithmic_few_sweeps(rng, monkeypatch):
     assert np.all(np.abs(x + 0.5 * lam * logit - r) <= 1e-12)
 
 
+@pytest.mark.parametrize("lam", [0.054, 0.3])
+def test_gamma_prox_logarithmic_large_inputs_converge(lam, rng):
+    # at |r| of a few hundred the rounding of r alone exceeds an absolute
+    # 1e-13 residual; the stopping rule scales with it
+    r = np.sort(rng.uniform(-1000.0, 1000.0, size=1000))
+    x = gamma_prox(G2, lam, r)
+    assert np.all((x > 0.0) & (x < 1.0))
+    assert np.all(np.diff(x) >= 0.0)  # the prox is monotone
+    # optimality where x is a normal double below the largest one under 1
+    inside = (x > np.finfo(float).tiny) & (x < np.nextafter(1.0, 0.0))
+    x, r = x[inside], r[inside]
+    assert x.size >= 5
+    logit = np.log(x) - np.log1p(-x)
+    rounding = 0.5 * lam * np.spacing(x) / (x * (1.0 - x))
+    allowed = 1e-12 + 16.0 * np.finfo(float).eps * np.abs(r) + rounding
+    assert np.all(np.abs(x + 0.5 * lam * logit - r) <= allowed)
+
+
 def test_gamma_prox_rejects_nonpositive_lambda():
     with pytest.raises(ValueError):
         gamma_prox(G3, 0.0, 0.3)

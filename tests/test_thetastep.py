@@ -17,8 +17,8 @@ from grainflow import (
     theta_step_smoothed,
     tmonotonicity_check,
 )
-from grainflow.grid import laplacian_arrays
-from grainflow.thetastep import _mobility_weights
+from grainflow.grid import div_arrays, grad_arrays, grad_operator_norm_bound, laplacian_arrays
+from grainflow.thetastep import _mobility_weights, _PdhgLoop
 from grainflow.verify import _theta_objective, random_admissible_v, random_smooth_field
 
 from conftest import model_for
@@ -83,6 +83,54 @@ def test_energy_decrease_reported_nonnegative_up_to_gap(g1_model, rng):
     params = ThetaStepParams(h=bench_h(g1_model), gap_tol=1e-11)
     _, rep = theta_step(theta0, v, g1_model, 0.1, params)
     assert rep.energy_decrease >= -rep.duality_gap - 1e-14
+
+
+# ---------------------------------------------------------------------------
+# primal-dual sweep against a plain reference
+# ---------------------------------------------------------------------------
+
+def reference_sweeps(t0, a0, aw, nb, h, dx, tau, sigma, p, n_sweeps):
+    """The PDHG sweep written out with grad_arrays / div_arrays; returns the
+    last (theta, dual) and their running averages from the start."""
+    t, tbar = t0.copy(), t0.copy()
+    t_avg, p_avg = t.copy(), [c.copy() for c in p]
+    for k in range(n_sweeps):
+        z = [pc + sigma * gc for pc, gc in zip(p, grad_arrays(tbar, dx))]
+        mag = np.sqrt(sum(c**2 for c in z))
+        target = np.minimum(mag, aw if nb is None else (nb * mag + sigma * aw) / (nb + sigma))
+        scale = np.where(mag > 0, target / np.where(mag > 0, mag, 1.0), 0.0)
+        p = [c * scale for c in z]
+        coef = tau * a0 / h
+        t_new = (t + tau * div_arrays(p, dx) + coef * t0) / (1.0 + coef)
+        t, tbar = t_new, 2.0 * t_new - t
+        weight = 1.0 / (k + 2)
+        t_avg = (1.0 - weight) * t_avg + weight * t
+        p_avg = [(1.0 - weight) * pa + weight * pc for pa, pc in zip(p_avg, p)]
+    return (t, np.array(p)), (t_avg, np.array(p_avg))
+
+
+@pytest.mark.parametrize("shape, dx", [((48,), 1.0), ((12, 9), 0.5)])
+@pytest.mark.parametrize("nu", [0.0, 0.1])
+def test_pdhg_loop_matches_reference_sweeps(g1_model, rng, shape, dx, nu):
+    grid = GridSpec(len(shape), shape, dx)
+    h = bench_h(g1_model)
+    v = random_admissible_v(grid, g1_model, rng)
+    a0, aw, bw = (np.broadcast_to(c, shape) for c in _mobility_weights(v, g1_model))
+    nb = 2.0 * nu * bw if nu != 0.0 else None
+    t0 = random_smooth_field(grid, rng, 0.8).values
+    # a dual inside the ball whose far-boundary entries are 0, as in a run
+    p0 = [0.5 * aw * np.tanh(c) for c in grad_arrays(rng.normal(size=shape), dx)]
+    ratio = 0.125 if grid.dim == 1 else 0.0625
+    tau = ratio / np.sqrt(grad_operator_norm_bound(grid))
+    sigma = 1.0 / (ratio * np.sqrt(grad_operator_norm_bound(grid)))
+    loop = _PdhgLoop(t0, a0, aw, nb, h, dx, tau, sigma, p0)
+    loop.enable_averaging()
+    loop.advance(300)
+    last, averaged = reference_sweeps(t0, a0, aw, nb, h, dx, tau, sigma, p0, 300)
+    for got, want in ((loop.iterate(), last), (loop.iterate(averaged=True), averaged)):
+        assert np.max(np.abs(got[0] - want[0])) <= 1e-13
+        assert np.max(np.abs(got[1] - want[1])) <= 1e-13
+    assert np.max(np.abs(last[0] - t0)) > 1e-3  # the sweeps did move theta
 
 
 # ---------------------------------------------------------------------------
