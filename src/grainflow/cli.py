@@ -273,7 +273,8 @@ def make_initial(kind: str, grid: GridSpec, model: ModelSpec, seed: int,
 # ---------------------------------------------------------------------------
 
 ENERGY_COLUMNS = ("step,t,dirichlet_v,gamma,g,wtv,nu_dirichlet,total,diss_v,"
-                  "diss_theta,v_outer_iters,theta_iters,max_box_violation,linf_theta")
+                  "diss_theta,v_outer_iters,v_inner_iters,theta_iters,duality_gap,"
+                  "contraction_ratio,max_box_violation,linf_theta")
 
 
 class OutputSink:
@@ -292,22 +293,23 @@ class OutputSink:
         self._fh.write(ENERGY_COLUMNS + "\n")
 
     def write_initial(self, state: PhaseState, energy):
-        self._row(0, 0.0, energy, 0.0, 0.0, 0, 0, 0.0,
+        self._row(0, 0.0, energy, 0.0, 0.0, 0, 0, 0, 0.0, 0.0, 0.0,
                   float(np.abs(state.theta.values).max()))
         self.snapshot(0, state)
 
     def on_step(self, rep, energy):
         self._row(rep.step, rep.t, energy, rep.diss_v, rep.diss_theta,
-                  rep.v_outer_iters, rep.theta_iters, rep.box_violation,
+                  rep.v_outer_iters, rep.v_inner_iters, rep.theta_iters,
+                  rep.duality_gap, rep.contraction_ratio, rep.box_violation,
                   rep.linf_theta)
 
-    def _row(self, step, t, energy, diss_v, diss_theta, v_outer, theta_iters,
-             box, linf):
+    def _row(self, step, t, energy, diss_v, diss_theta, v_outer, v_inner, theta_iters,
+             gap, contraction, box, linf):
         cells = [str(step), repr(t), repr(energy.dirichlet_v), repr(energy.gamma_term),
                  repr(energy.g_term), repr(energy.wtv_term),
                  repr(energy.nu_dirichlet_term), repr(energy.total), repr(diss_v),
-                 repr(diss_theta), str(v_outer), str(theta_iters), repr(box),
-                 repr(linf)]
+                 repr(diss_theta), str(v_outer), str(v_inner), str(theta_iters),
+                 repr(gap), repr(contraction), repr(box), repr(linf)]
         self._fh.write(",".join(cells) + "\n")
 
     def on_snapshot(self, step, state: PhaseState):

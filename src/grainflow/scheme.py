@@ -181,8 +181,8 @@ def run(init: PhaseState, model: ModelSpec, params: SchemeParams, sink=None) -> 
             v_new, vrep = v_step((state.w, state.eta), state.theta, model, nu, params.vstep)
             theta_new, trep = theta_step(state.theta, v_new, model, nu, params.thetastep,
                                          warm_dual=warm_dual, gap_abs=gap_budget)
-        except SolverError as err:
-            raise SolverError(f"step {i}: {err}") from err
+        except SolverError as err:  # same class, so callers can catch one kind
+            raise type(err)(f"step {i}: {err}") from err
         warm_dual = trep.dual
 
         dw = v_new[0].values - state.w.values

@@ -11,6 +11,16 @@ a|q| + nu b |q|^2 is the indicator of the ball |p| <= a when nu b = 0 and
 (|p| - a)_+^2 / (4 nu b) otherwise, so both regimes share one dual prox and
 nu = 0 needs no smoothing.
 
+The step sizes are tau = r/||grad|| and sigma = 1/(r ||grad||), so that
+tau*sigma*||grad||^2 = 1, with r = 1/8 in 1D and 1/16 in 2D at the start.
+They adapt by one rule.  When the gap of the last iterate stalls (it fails to
+halve over a window of 5 certificates), r jumps down towards the plateau
+level the remaining gap calls for, with a floor at 1/4096 of the start.  A
+stall at the floor wraps r back to the start and doubles the window for the
+rest of the solve.  The doubling matters: with a fixed window the wrap-around
+can lock into a cycle between the start ratio and the floor that never gives
+either ratio the run it needs.
+
 The returned iterate is the truncated dual reconstruction
 
     theta = T_{-M}^{M}( theta_prev + h * div(p) / alpha0 ),   M = max|theta_prev|,
@@ -53,20 +63,13 @@ class ThetaNoConvergence(SolverError):
 @dataclass
 class ThetaStepParams:
     """gap_tol is relative: the solve stops once the reconstruction gap is
-    <= gap_tol * (1 + |objective|).  Step sizes keep tau*sigma*||grad||^2 = 1;
-    their ratio defaults per dimension and, when the gap stalls on a
-    degenerate dual face (last-iterate plateau proportional to tau), the
-    ratio jumps to the plateau level the remaining gap calls for.  Any such
-    adaptation is safe because the output is certificate-checked.  Manual
-    tau/sigma must satisfy tau*sigma*||grad||^2 <= 1."""
+    <= gap_tol * (1 + |objective|), checked every check_every sweeps.  The
+    step sizes keep tau*sigma*||grad||^2 = 1 and adapt only through the stall
+    rule in the module docstring; the output is certificate-checked either way."""
 
     h: float
     gap_tol: float = 1e-10
     max_iters: int = 400_000
-    tau: float = None
-    sigma: float = None
-    step_ratio: float = None
-    smoothing_mu: float = 1e-6
     check_every: int = 125
 
     def __post_init__(self):
@@ -74,8 +77,6 @@ class ThetaStepParams:
             raise ValueError("time step h must be positive")
         if not self.gap_tol > 0:
             raise ValueError("gap_tol must be positive")
-        if (self.tau is None) != (self.sigma is None):
-            raise ValueError("set both tau and sigma or neither")
 
 
 @dataclass
@@ -133,18 +134,9 @@ def theta_step(theta_prev: ScalarField, v_new, model: ModelSpec, nu: float,
     a0_min = float(a0.min())
     reconstructable = a0_min > 0.0
 
-    gn2 = grad_operator_norm_bound(grid)
-    if params.tau is not None:
-        if params.tau * params.sigma * gn2 > 1.0 + 1e-12:
-            raise ValueError("tau*sigma*||grad||^2 must be <= 1")
-        tau, sigma = params.tau, params.sigma
-        ratio = None  # manual steps: no adaptation
-    else:
-        ratio = params.step_ratio
-        if ratio is None:
-            ratio = 0.125 if grid.dim == 1 else 0.0625
-        tau = ratio / np.sqrt(gn2)
-        sigma = 1.0 / (ratio * np.sqrt(gn2))
+    gn = np.sqrt(grad_operator_norm_bound(grid))
+    ratio0 = 0.125 if dim == 1 else 0.0625
+    ratio, min_ratio = ratio0, ratio0 / 4096.0
 
     if warm_dual is not None:
         p = warm_dual
@@ -155,24 +147,19 @@ def theta_step(theta_prev: ScalarField, v_new, model: ModelSpec, nu: float,
         p = [aw * c / safe + (nb * c if nb is not None else 0.0) for c in g0]
         _project_dual(p, aw, nb, 1.0)
 
-    loop = _PdhgLoop(t0, a0, aw, nb, h, dx, tau, sigma, p)
+    loop = _PdhgLoop(t0, a0, aw, nb, h, dx, ratio / gn, 1.0 / (ratio * gn), p)
+    problem = (t0, a0, aw, nb, h, dx, vol, linf_in, reconstructable)
     chosen = None
     last = None
     prev_hat = None
     iters = 0
     gap_history = []
-    ratio0 = ratio
-    min_ratio = (ratio / 4096.0) if ratio is not None else None
+    window = 5
     while iters < params.max_iters:
         burst = min(params.check_every, params.max_iters - iters)
         loop.advance(burst)
         iters += burst
-        problem = (t0, a0, aw, nb, h, dx, vol, linf_in, reconstructable)
-        cand = _certify(*loop.iterate(), *problem)
-        if loop.averaging:  # keep the iterate with the smaller reconstruction gap
-            cand = min(cand, _certify(*loop.iterate(averaged=True), *problem),
-                       key=lambda c: c[1])
-        t_hat, gap_rec, gap_hat, j_hat = cand
+        t_hat, gap_rec, gap_hat, j_hat = _certify(*loop.iterate(), *problem)
         last = (t_hat, gap_hat, gap_rec, j_hat)
         tol_eff = max(params.gap_tol * (1.0 + abs(j_hat)), gap_abs)
         if gap_rec <= tol_eff:
@@ -190,23 +177,22 @@ def theta_step(theta_prev: ScalarField, v_new, model: ModelSpec, nu: float,
             prev_hat = t_hat
         gap_history.append(gap_rec)
         stalled = (
-            len(gap_history) >= 5
-            and np.isfinite(gap_history[-5])
-            and gap_rec > 0.5 * gap_history[-5]
+            len(gap_history) >= window
+            and np.isfinite(gap_history[-window])
+            and gap_rec > 0.5 * gap_history[-window]
         )
         if stalled:
-            if not loop.averaging:
-                loop.enable_averaging()
-            if ratio is not None:
-                # the last-iterate gap plateaus proportionally to tau on
-                # degenerate dual faces: jump the ratio to the plateau the
-                # remaining gap calls for, wrap around once the floor is hit
-                if ratio <= min_ratio:
-                    ratio = ratio0
-                else:
-                    jump = min(0.25, 0.3 * tol_eff / gap_rec)
-                    ratio = max(ratio * jump, min_ratio)
-                loop.set_steps(ratio / np.sqrt(gn2), 1.0 / (ratio * np.sqrt(gn2)))
+            # the last-iterate gap plateaus proportionally to tau on
+            # degenerate dual faces: jump the ratio to the plateau the
+            # remaining gap calls for; at the floor, wrap around and double
+            # the window so that the wrap-around cannot cycle
+            if ratio <= min_ratio:
+                ratio = ratio0
+                window *= 2
+            else:
+                jump = min(0.25, 0.3 * tol_eff / gap_rec)
+                ratio = max(ratio * jump, min_ratio)
+            loop.set_steps(ratio / gn, 1.0 / (ratio * gn))
             gap_history.clear()
     if chosen is None:
         raise ThetaNoConvergence(
@@ -240,6 +226,10 @@ class _PdhgLoop:
     ball projection (nb = 0) and the quadratic-conjugate case.  The dual p is
     the ``(dim, n)`` field of a :class:`Stencil` flux buffer; its far-boundary
     entries, which only ever multiply a zero gradient, are kept at 0.
+
+    The loop holds the last iterate only, with no ergodic average: the
+    certificate is taken there, and a plateau of its gap is met by the
+    caller's stall rule through :meth:`set_steps`.
     """
 
     def __init__(self, t0, a0, aw, nb, h, dx, tau, sigma, p):
@@ -256,24 +246,11 @@ class _PdhgLoop:
         self.g, self.sq = np.zeros((st.dim, n)), np.empty((st.dim, n))
         self.tmp, self.t_next = np.empty(n), np.empty(n)
         self.mag = self.sq[0] if st.dim == 1 else np.empty(n)  # 1D: |g|^2 is sq[0]
-        # ergodic averages: the last iterate can orbit a degenerate dual face
-        # with radius ~ tau, while the averaged pair has an O(1/k) gap.
-        # Maintained lazily (enabled on the first stall) to keep the common
-        # linearly-convergent path cheap.
-        self.averaging = False
         self.set_steps(tau, sigma)
 
-    def iterate(self, averaged=False):
-        """(theta, dual) in grid shape: the last or the averaged iterate."""
-        t, p = (self.t_avg, self.p_avg) if averaged else (self.t, self.p)
-        return t.reshape(self.shape), p.reshape((self.st.dim,) + self.shape)
-
-    def enable_averaging(self):
-        self.averaging = True
-        self._restart_averages()
-
-    def _restart_averages(self):
-        self.t_avg, self.p_avg, self.avg_count = self.t.copy(), self.p.copy(), 1
+    def iterate(self):
+        """The last (theta, dual) in grid shape."""
+        return self.t.reshape(self.shape), self.p.reshape((self.st.dim,) + self.shape)
 
     def set_steps(self, tau, sigma):
         self.tau_inv = tau * self.st.inv
@@ -283,8 +260,6 @@ class _PdhgLoop:
         self.sig_scale = sigma * self.st.scale
         self.sig_aw = sigma * self.aw
         self.nb_sig = (self.nb + sigma) if self.nb is not None else None
-        if self.averaging:  # restart the averages whenever the steps change
-            self._restart_averages()
 
     def advance(self, n_iters):
         st, g, p, sq, mag, tmp = self.st, self.g, self.p, self.sq, self.mag, self.tmp
@@ -315,13 +290,6 @@ class _PdhgLoop:
             np.add(t_next, t_next, out=self.tbar)
             self.tbar -= self.t
             self.t, self.t_next = t_next, self.t
-            if self.averaging:
-                self.avg_count += 1
-                w_new = 1.0 / self.avg_count
-                self.t_avg *= 1.0 - w_new
-                self.t_avg += np.multiply(self.t, w_new, out=tmp)
-                self.p_avg *= 1.0 - w_new
-                self.p_avg += np.multiply(p, w_new, out=sq)
 
 
 def _project_dual(z, aw, nb, sigma):
@@ -390,13 +358,12 @@ def _certify(t, p, t0, a0, aw, nb, h, dx, vol, linf_in, reconstructable):
 # ---------------------------------------------------------------------------
 
 def theta_step_smoothed(theta_prev: ScalarField, v_new, model: ModelSpec, nu: float,
-                        params: ThetaStepParams, mu: float = None,
+                        params: ThetaStepParams, mu: float = 1e-6,
                         gradient_tol: float = 1e-10, max_iters: int = 400_000):
     """Independent validator: |grad theta| is replaced by the Huber-type
     sqrt(|grad theta|^2 + mu^2) - mu and the smooth objective is driven to
     the requested gradient norm by Barzilai-Borwein gradient descent with an
     Armijo backtracking safeguard."""
-    mu = params.smoothing_mu if mu is None else mu
     if not mu > 0:
         raise ValueError("smoothing mu must be positive")
     grid = theta_prev.grid

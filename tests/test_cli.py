@@ -178,6 +178,21 @@ def test_run_command_wells_zero_energy(tmp_path):
         assert float(row.split(",")[7]) == 0.0  # total stays 0
 
 
+def test_energy_log_records_solver_fields(tmp_path):
+    cfg_path = write_cfg(tmp_path, BASE.format(out=tmp_path / "out"))
+    assert main(["run", "--config", cfg_path]) == 0
+    lines = (tmp_path / "out" / "energy.csv").read_text().splitlines()
+    header = lines[1].split(",")
+    rows = [dict(zip(header, map(float, row.split(",")))) for row in lines[2:]]
+    fields = ("v_inner_iters", "duality_gap", "contraction_ratio")
+    assert all(rows[0][f] == 0.0 for f in fields)
+    for prev, row in zip(rows, rows[1:]):
+        assert row["v_inner_iters"] >= row["v_outer_iters"] >= 1
+        # the time loop asks the theta-step for a gap within its dissipation budget
+        assert -1e-12 <= row["duality_gap"] <= 1e-9 * (1.0 + abs(prev["total"]))
+        assert 0.0 <= row["contraction_ratio"] < 1.0
+
+
 def test_run_command_deterministic(tmp_path):
     cfg_path = write_cfg(tmp_path, BASE.format(out=tmp_path / "a"))
     assert main(["run", "--config", cfg_path]) == 0

@@ -1,3 +1,6 @@
+import dataclasses
+import os
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from grainflow import (
     ScalarField,
     SchemeParams,
     SolverError,
+    ThetaNoConvergence,
     ThetaStepParams,
     VStepParams,
     h_star,
@@ -21,7 +25,9 @@ from grainflow import (
     time_interpolate,
     validate_initial,
 )
-from grainflow.cli import make_initial
+from grainflow.cli import (_initial_state, build_grid, build_model, build_scheme_params,
+                           make_initial, parse_config)
+from grainflow.verify import check_dissipation
 from conftest import model_for
 
 
@@ -168,8 +174,41 @@ def test_step_errors_carry_index(g1_model):
         thetastep=ThetaStepParams(h=0.5 * h_star(g1_model), gap_tol=1e-300,
                                   max_iters=5),
     )
-    with pytest.raises(SolverError, match="step 1"):
+    with pytest.raises(ThetaNoConvergence, match="step 1"):
         run(init, g1_model, params)
+
+
+# ---------------------------------------------------------------------------
+# theta-steps that once cycled through the stall rule without converging
+# ---------------------------------------------------------------------------
+
+def run_shipped_config(name, overrides):
+    """scheme.run on configs/<name> with [section] key overrides and its own
+    initial data.  The theta sweep cap of 100,000 makes a return of the
+    start-ratio/floor cycle fail in seconds; the worst of these steps needs
+    26,875 sweeps."""
+    cfg = parse_config(os.path.join(os.path.dirname(__file__), os.pardir, "configs", name))
+    for (section, key), value in overrides.items():
+        cfg.sections[section][key] = value
+    model, grid = build_model(cfg), build_grid(cfg)
+    params = build_scheme_params(cfg, model)
+    params = dataclasses.replace(params, thetastep=ThetaStepParams(h=params.h,
+                                                                   max_iters=100_000))
+    return run(_initial_state(cfg, grid, model), model, params)
+
+
+def test_logarithmic_seed_3_passes_step_71():
+    traj = run_shipped_config("logarithmic.cfg", {("init", "seed"): "3",
+                                                  ("scheme", "n_steps"): "71"})
+    assert traj.n_steps == 71
+    assert check_dissipation(traj).passed
+
+
+def test_grains_96x96_first_step():
+    traj = run_shipped_config("benchmark-2d.cfg", {("grid", "shape"): "96x96",
+                                                   ("scheme", "n_steps"): "1"})
+    assert traj.nu == 0.1
+    assert check_dissipation(traj).passed
 
 
 # ---------------------------------------------------------------------------

@@ -91,10 +91,9 @@ def test_energy_decrease_reported_nonnegative_up_to_gap(g1_model, rng):
 
 def reference_sweeps(t0, a0, aw, nb, h, dx, tau, sigma, p, n_sweeps):
     """The PDHG sweep written out with grad_arrays / div_arrays; returns the
-    last (theta, dual) and their running averages from the start."""
+    last (theta, dual)."""
     t, tbar = t0.copy(), t0.copy()
-    t_avg, p_avg = t.copy(), [c.copy() for c in p]
-    for k in range(n_sweeps):
+    for _ in range(n_sweeps):
         z = [pc + sigma * gc for pc, gc in zip(p, grad_arrays(tbar, dx))]
         mag = np.sqrt(sum(c**2 for c in z))
         target = np.minimum(mag, aw if nb is None else (nb * mag + sigma * aw) / (nb + sigma))
@@ -103,10 +102,7 @@ def reference_sweeps(t0, a0, aw, nb, h, dx, tau, sigma, p, n_sweeps):
         coef = tau * a0 / h
         t_new = (t + tau * div_arrays(p, dx) + coef * t0) / (1.0 + coef)
         t, tbar = t_new, 2.0 * t_new - t
-        weight = 1.0 / (k + 2)
-        t_avg = (1.0 - weight) * t_avg + weight * t
-        p_avg = [(1.0 - weight) * pa + weight * pc for pa, pc in zip(p_avg, p)]
-    return (t, np.array(p)), (t_avg, np.array(p_avg))
+    return t, np.array(p)
 
 
 @pytest.mark.parametrize("shape, dx", [((48,), 1.0), ((12, 9), 0.5)])
@@ -124,13 +120,12 @@ def test_pdhg_loop_matches_reference_sweeps(g1_model, rng, shape, dx, nu):
     tau = ratio / np.sqrt(grad_operator_norm_bound(grid))
     sigma = 1.0 / (ratio * np.sqrt(grad_operator_norm_bound(grid)))
     loop = _PdhgLoop(t0, a0, aw, nb, h, dx, tau, sigma, p0)
-    loop.enable_averaging()
     loop.advance(300)
-    last, averaged = reference_sweeps(t0, a0, aw, nb, h, dx, tau, sigma, p0, 300)
-    for got, want in ((loop.iterate(), last), (loop.iterate(averaged=True), averaged)):
-        assert np.max(np.abs(got[0] - want[0])) <= 1e-13
-        assert np.max(np.abs(got[1] - want[1])) <= 1e-13
-    assert np.max(np.abs(last[0] - t0)) > 1e-3  # the sweeps did move theta
+    want_t, want_p = reference_sweeps(t0, a0, aw, nb, h, dx, tau, sigma, p0, 300)
+    got_t, got_p = loop.iterate()
+    assert np.max(np.abs(got_t - want_t)) <= 1e-13
+    assert np.max(np.abs(got_p - want_p)) <= 1e-13
+    assert np.max(np.abs(want_t - t0)) > 1e-3  # the sweeps did move theta
 
 
 # ---------------------------------------------------------------------------
@@ -347,17 +342,6 @@ def test_oracle_rejects_large_instances(g1_model):
 # parameters and failure modes
 # ---------------------------------------------------------------------------
 
-def test_manual_steps_validated(g1_model, rng):
-    grid = GridSpec(1, (8,), 1.0)
-    v = random_admissible_v(grid, g1_model, rng)
-    theta0 = random_smooth_field(grid, rng, 0.5)
-    bad = ThetaStepParams(h=0.05, tau=1.0, sigma=1.0)  # tau*sigma*4 > 1
-    with pytest.raises(ValueError):
-        theta_step(theta0, v, g1_model, 0.1, bad)
-    ok = ThetaStepParams(h=0.05, tau=0.25, sigma=1.0)
-    theta_step(theta0, v, g1_model, 0.1, ok)
-
-
 def test_no_convergence_raised(g1_model, rng):
     grid = GridSpec(1, (32,), 1.0)
     v = random_admissible_v(grid, g1_model, rng)
@@ -392,5 +376,3 @@ def test_params_validation():
         ThetaStepParams(h=-1.0)
     with pytest.raises(ValueError):
         ThetaStepParams(h=0.1, gap_tol=0.0)
-    with pytest.raises(ValueError):
-        ThetaStepParams(h=0.1, tau=0.1)
