@@ -87,6 +87,8 @@ CONFIG_KEYS = {
     "verify": {"n_oracle"}, "sweep": {"nus"}, "probe": {"n_probes"},
 }
 _REQUIRED = object()
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
 
 
 class RunConfig:
@@ -113,7 +115,9 @@ class RunConfig:
             return default
         try:
             if cast is bool:
-                return raw.strip().lower() in ("1", "true", "yes", "on")
+                if raw.strip().lower() not in _BOOLS:
+                    raise ValueError("not one of " + "/".join(_BOOLS))
+                return _BOOLS[raw.strip().lower()]
             return cast(raw)
         except (TypeError, ValueError) as err:
             raise ConfigError(f"{section}.{key}: cannot parse {raw!r} ({err})") from None
@@ -199,7 +203,7 @@ def build_model(cfg: RunConfig) -> ModelSpec:
 
 def build_grid(cfg: RunConfig) -> GridSpec:
     dim = cfg.get("grid", "dim", default=1, cast=int)
-    shape = tuple(int(t) for t in cfg.get("grid", "shape").lower().split("x"))
+    shape = cfg.get("grid", "shape", cast=lambda s: tuple(int(t) for t in s.lower().split("x")))
     try:
         return GridSpec(dim, shape, cfg.get("grid", "dx", default=1.0, cast=float))
     except ValueError as err:
@@ -344,6 +348,14 @@ def _write_checks_csv(path, digest, seed, results):
 # commands
 # ---------------------------------------------------------------------------
 
+def _formats(text):
+    tokens = tuple(t.strip() for t in text.split(","))
+    unknown = set(tokens) - {"csv", "raw"}
+    if unknown:
+        raise ValueError(f"unknown format {sorted(unknown)[0]!r}; use csv and/or raw")
+    return tokens
+
+
 def _setup(args):
     cfg = parse_config(args.config)
     if args.seed is not None:
@@ -354,9 +366,7 @@ def _setup(args):
     grid = build_grid(cfg)
     params = build_scheme_params(cfg, model, override_h_gate=args.override_h_gate)
     outdir = cfg.get("output", "directory", default="out")
-    formats = tuple(
-        t.strip() for t in cfg.get("output", "formats", default="csv").split(",")
-    )
+    formats = cfg.get("output", "formats", default=("csv",), cast=_formats)
     return cfg, model, grid, params, outdir, formats
 
 
@@ -416,7 +426,7 @@ def cmd_sweep_nu(args) -> int:
     cfg, model, grid, params, outdir, formats = _setup(args)
     state = _initial_state(cfg, grid, model)
     if cfg.has("sweep", "nus"):
-        schedule = [float(t) for t in cfg.get("sweep", "nus").split(",")]
+        schedule = cfg.get("sweep", "nus", cast=lambda s: [float(t) for t in s.split(",")])
     else:
         schedule = [2.0**-k for k in range(1, 9)]
     report = nu_limit_study(state, model, schedule, params)

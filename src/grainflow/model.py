@@ -83,6 +83,13 @@ class MobilityKind(Enum):
         raise ValueError(f"unknown mobility {token!r} (expected constant or kobayashi)")
 
 
+def require_finite(spec, *names):
+    """ValueError naming the first of the fields ``names`` of spec that is not finite."""
+    for name in names:
+        if not math.isfinite(getattr(spec, name)):
+            raise ValueError(f"{name} must be finite, got {getattr(spec, name)}")
+
+
 @dataclass(frozen=True)
 class PotentialSpec:
     """Double-well setting: gamma family plus the constants c, u, o*, iota*."""
@@ -94,6 +101,7 @@ class PotentialSpec:
     iota_star: float = 1.0
 
     def __post_init__(self):
+        require_finite(self, "c", "u", "o_star", "iota_star")
         if not self.c > 0:
             raise ValueError(f"well depth c must be positive, got {self.c}")
         if not (0.0 <= self.o_star < self.iota_star <= 1.0):
@@ -119,6 +127,7 @@ class MobilitySpec:
     b: float = 1.0
 
     def __post_init__(self):
+        require_finite(self, "kappa", "a0", "a", "b")
         if self.kappa < 0:
             raise ValueError("safeguard floor kappa must be >= 0")
         if self.kind is MobilityKind.CONSTANT:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .energy import free_energy
 from .grid import PhaseState, ScalarField
-from .model import CheckCondition, ModelSpec, ValidationReport
+from .model import CheckCondition, ModelSpec, ValidationReport, require_finite
 from .thetastep import ThetaStepParams, theta_step
 from .vstep import SolverError, VStepParams, v_step
 
@@ -59,6 +59,7 @@ class SchemeParams:
     thetastep: ThetaStepParams = None
 
     def __post_init__(self):
+        require_finite(self, "h", "nu")
         if not self.h > 0:
             raise ValueError("h must be positive")
         if self.nu < 0:

@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .energy import phi_nu
 from .grid import (ScalarField, Stencil, div_arrays, grad_arrays, grad_operator_norm_bound,
                    sq_norm_arrays)
 from .model import ModelSpec, SolverError
@@ -85,7 +86,6 @@ class ThetaStepReport:
     duality_gap: float
     linf_in: float
     linf_out: float
-    energy_decrease: float
     dual: tuple = field(default=None, repr=False, compare=False)
 
 
@@ -97,18 +97,9 @@ class TMonotonicityReport:
 
 
 def _mobility_weights(v_new, model: ModelSpec):
+    """(alpha0, alpha, beta) of v_new at the grid shape."""
     w, e = v_new[0].values, v_new[1].values
-    a0, a, b, _, _ = model.mobilities(w, e)
-    return a0, a, b
-
-
-def _objective_parts(t, t0, a0, aw, nb_half, h, dx, vol):
-    """(data, wtv, quad) value parts; nb_half = 2*nu*beta weights or None."""
-    data = 0.5 / h * float(np.vdot(a0 * (t - t0), t - t0).real) * vol
-    sq = sq_norm_arrays(grad_arrays(t, dx))
-    wtv = float(np.sum(aw * np.sqrt(sq))) * vol
-    quad = 0.5 * float(np.sum(nb_half * sq)) * vol if nb_half is not None else 0.0
-    return data, wtv, quad
+    return tuple(np.broadcast_to(c, w.shape) for c in model.mobilities(w, e)[:3])
 
 
 def theta_step(theta_prev: ScalarField, v_new, model: ModelSpec, nu: float,
@@ -121,37 +112,15 @@ def theta_step(theta_prev: ScalarField, v_new, model: ModelSpec, nu: float,
     the gap its dissipation budget can absorb.
     """
     grid = theta_prev.grid
-    dx, vol, dim = grid.dx, grid.cell_volume, grid.dim
-    h = params.h
-    t0 = theta_prev.values
     a0, aw, bw = _mobility_weights(v_new, model)
-    a0 = np.broadcast_to(a0, t0.shape)
-    aw = np.broadcast_to(aw, t0.shape)
-    bw = np.broadcast_to(bw, t0.shape)
-    linf_in = float(np.abs(t0).max())
-
     nb = 2.0 * nu * bw if nu != 0.0 else None  # curvature weights of the dual prox
-    a0_min = float(a0.min())
-    reconstructable = a0_min > 0.0
+    loop = _PdhgLoop(theta_prev.values, a0, aw, nb, params.h, grid.dx, warm_dual)
 
     gn = np.sqrt(grad_operator_norm_bound(grid))
-    ratio0 = 0.125 if dim == 1 else 0.0625
+    ratio0 = 0.125 if grid.dim == 1 else 0.0625
     ratio, min_ratio = ratio0, ratio0 / 4096.0
-
-    if warm_dual is not None:
-        p = warm_dual
-    else:
-        g0 = grad_arrays(t0, dx)
-        mag = np.sqrt(sq_norm_arrays(g0))
-        safe = np.where(mag > 0, mag, 1.0)
-        p = [aw * c / safe + (nb * c if nb is not None else 0.0) for c in g0]
-        _project_dual(p, aw, nb, 1.0)
-
-    loop = _PdhgLoop(t0, a0, aw, nb, h, dx, ratio / gn, 1.0 / (ratio * gn), p)
-    problem = (t0, a0, aw, nb, h, dx, vol, linf_in, reconstructable)
-    chosen = None
-    last = None
-    prev_hat = None
+    loop.set_steps(ratio / gn, 1.0 / (ratio * gn))
+    chosen = last = prev_hat = None
     iters = 0
     gap_history = []
     window = 5
@@ -159,19 +128,19 @@ def theta_step(theta_prev: ScalarField, v_new, model: ModelSpec, nu: float,
         burst = min(params.check_every, params.max_iters - iters)
         loop.advance(burst)
         iters += burst
-        t_hat, gap_rec, gap_hat, j_hat = _certify(*loop.iterate(), *problem)
-        last = (t_hat, gap_hat, gap_rec, j_hat)
+        last = loop.certify()
+        t_hat, gap_rec, _, j_hat = last
         tol_eff = max(params.gap_tol * (1.0 + abs(j_hat)), gap_abs)
         if gap_rec <= tol_eff:
             chosen = last
             break
-        if not reconstructable and not np.isfinite(gap_rec):
+        if not loop.reconstructable and not np.isfinite(gap_rec):
             # no usable certificate (mobility floor 0): fall back to the
             # iterate-change rule; the clipped output still obeys the
             # maximum principle exactly
             if prev_hat is not None and float(
                 np.abs(t_hat - prev_hat).max()
-            ) <= params.gap_tol * (1.0 + linf_in):
+            ) <= params.gap_tol * (1.0 + loop.linf):
                 chosen = last
                 break
             prev_hat = t_hat
@@ -196,57 +165,71 @@ def theta_step(theta_prev: ScalarField, v_new, model: ModelSpec, nu: float,
             gap_history.clear()
     if chosen is None:
         raise ThetaNoConvergence(
-            f"gap {last[2]:.3e} above tolerance after {params.max_iters} iterations"
+            f"gap {last[1]:.3e} above tolerance after {params.max_iters} iterations"
         )
 
-    t_hat, gap_hat, _, j_hat = chosen
-    _, wtv0, quad0 = _objective_parts(t0, t0, a0, aw, nb, h, dx, vol)
-    phi_prev = wtv0 + quad0
-    data_hat, wtv_hat, quad_hat = _objective_parts(t_hat, t0, a0, aw, nb, h, dx, vol)
-    # theta-half dissipation margin: Phi(prev) - Phi(new) - (1/h)|sqrt(a0) dtheta|^2
-    decrease = phi_prev - (wtv_hat + quad_hat) - 2.0 * data_hat
-
+    t_hat, _, gap_hat, _ = chosen
     report = ThetaStepReport(
         iters=iters,
         duality_gap=gap_hat,
-        linf_in=linf_in,
+        linf_in=loop.linf,
         linf_out=float(np.abs(t_hat).max()),
-        energy_decrease=decrease,
         dual=tuple(loop.iterate()[1]),
     )
     return ScalarField(grid, t_hat), report
 
 
 class _PdhgLoop:
-    """Fused primal-dual iteration on flat fields, with preallocated buffers.
+    """The theta-problem on flat fields, with preallocated buffers: the fused
+    primal-dual iteration and its duality-gap certificate.
 
     One sweep: p <- dualprox(p + sigma grad(tbar)); t <- dataprox(t + tau div p);
     tbar <- 2t - t_prev.  The dual prox shrinks each cell magnitude to
     min(|z|, (nb |z| + sigma a)/(nb + sigma)), which covers both the pure
     ball projection (nb = 0) and the quadratic-conjugate case.  The dual p is
     the ``(dim, n)`` field of a :class:`Stencil` flux buffer; its far-boundary
-    entries, which only ever multiply a zero gradient, are kept at 0.
+    entries, which only ever multiply a zero gradient, are kept at 0.  Without
+    a warm dual, p starts at the dual prox (sigma = 1) of
+    a grad(t0)/|grad(t0)| + nb grad(t0).  The steps are set by
+    :meth:`set_steps`, before the first sweep and whenever the caller's stall
+    rule changes them; the loop holds the last iterate only.
 
-    The loop holds the last iterate only, with no ergodic average: the
-    certificate is taken there, and a plateau of its gap is met by the
-    caller's stall rule through :meth:`set_steps`.
+    :meth:`certify` takes the gap at the truncated dual reconstruction
+    t_hat = T_{-M}^{M}(t_rec), t_rec = t0 + h y/a0, y = div p, M = max|t0|
+    (t_rec is the last iterate when a0 has zeros).  The Fenchel dual is
+    D(p) = -sum[y t0 + h y^2/(2 a0)] - F*(p), where F* is the indicator of
+    |p| <= a (nb = 0) or sum (|p| - a)_+^2 / (2 nb), and the primal
+    J(t) = (1/2h) sum a0 (t - t0)^2 + sum a |grad t| + (1/2) sum nb |grad t|^2,
+    all times the cell volume; gap = J - D >= 0 bounds J - min J.  div p and
+    grad t come from the stencil, into the loop's buffers.  The quadratic term
+    stays (1/2) sum nb |grad t|^2, not the energy's nu sum b |grad t|^2: the
+    two round differently, and the gap decides when a solve stops.
     """
 
-    def __init__(self, t0, a0, aw, nb, h, dx, tau, sigma, p):
+    def __init__(self, t0, a0, aw, nb, h, dx, p=None):
         self.shape = t0.shape
         self.st = st = Stencil(t0.shape, dx)
         n = st.n
         self.t0, self.a0, self.aw = (np.reshape(a, n) for a in (t0, a0, aw))
         self.nb = np.reshape(nb, n) if nb is not None else None
-        self.h = h
+        self.h, self.vol = h, dx**st.dim
+        self.linf = float(np.abs(self.t0).max())
+        self.reconstructable = float(self.a0.min()) > 0.0
         self.t, self.tbar = self.t0.copy(), self.t0.copy()
         self.buf = st.flux()
         self.p = self.buf[:, st.lead:]
-        np.multiply(np.reshape(p, (st.dim, n)), st.mask, out=self.p)
         self.g, self.sq = np.zeros((st.dim, n)), np.empty((st.dim, n))
         self.tmp, self.t_next = np.empty(n), np.empty(n)
-        self.mag = self.sq[0] if st.dim == 1 else np.empty(n)  # 1D: |g|^2 is sq[0]
-        self.set_steps(tau, sigma)
+        self.mag = self.sq[0] if st.dim == 1 else np.empty(n)  # 1D: |z| is taken in sq[0]
+        if p is not None:
+            np.multiply(np.reshape(p, (st.dim, n)), st.mask, out=self.p)
+            return
+        g = st.grad(self.t0, self.g)
+        mag = self._magnitude(g)
+        z = self.aw * g / np.where(mag > 0, mag, 1.0)
+        if self.nb is not None:
+            z += self.nb * g
+        self._dual_prox(z, self.aw, self.nb + 1.0 if self.nb is not None else None)
 
     def iterate(self):
         """The last (theta, dual) in grid shape."""
@@ -261,26 +244,35 @@ class _PdhgLoop:
         self.sig_aw = sigma * self.aw
         self.nb_sig = (self.nb + sigma) if self.nb is not None else None
 
+    def _magnitude(self, z):
+        """Cellwise |z| of a ``(dim, n)`` field, in ``self.mag``."""
+        np.multiply(z, z, out=self.sq)
+        if self.st.dim > 1:
+            np.add.reduce(self.sq, axis=0, out=self.mag)
+        return np.sqrt(self.mag, out=self.mag)
+
+    def _dual_prox(self, z, sig_aw, nb_sig):
+        """p <- z with each cell magnitude shrunk to min(|z|, aw) when nb = 0,
+        else to min(|z|, (nb |z| + sig_aw)/nb_sig)."""
+        mag, tmp = self._magnitude(z), self.tmp
+        if self.nb is None:
+            np.minimum(mag, self.aw, out=tmp)
+        else:
+            np.multiply(self.nb, mag, out=tmp)
+            tmp += sig_aw
+            tmp /= nb_sig
+            np.minimum(mag, tmp, out=tmp)
+        np.maximum(mag, 1e-300, out=mag)
+        tmp /= mag  # scale factor
+        np.multiply(z, tmp, out=self.p)
+
     def advance(self, n_iters):
-        st, g, p, sq, mag, tmp = self.st, self.g, self.p, self.sq, self.mag, self.tmp
+        st, g = self.st, self.g
         for _ in range(n_iters):
             # dual ascent
             st.grad(self.tbar, g, self.sig_scale)
-            g += p
-            np.multiply(g, g, out=sq)
-            if st.dim > 1:
-                np.add.reduce(sq, axis=0, out=mag)
-            np.sqrt(mag, out=mag)
-            if self.nb is None:
-                np.minimum(mag, self.aw, out=tmp)
-            else:
-                np.multiply(self.nb, mag, out=tmp)
-                tmp += self.sig_aw
-                tmp /= self.nb_sig
-                np.minimum(mag, tmp, out=tmp)
-            np.maximum(mag, 1e-300, out=mag)
-            tmp /= mag  # scale factor
-            np.multiply(g, tmp, out=p)
+            g += self.p
+            self._dual_prox(g, self.sig_aw, self.nb_sig)
             # primal descent on the data term
             t_next = st.div(self.buf, self.t_next, self.tau_inv)
             t_next += self.t
@@ -291,66 +283,57 @@ class _PdhgLoop:
             self.tbar -= self.t
             self.t, self.t_next = t_next, self.t
 
+    def _objective(self, t):
+        """J(t) of the class docstring."""
+        d = t - self.t0
+        data = 0.5 / self.h * float(np.vdot(self.a0 * d, d).real) * self.vol
+        g = self.st.grad(t, self.g)
+        np.multiply(g, g, out=self.sq)
+        sq = np.add.reduce(self.sq, axis=0, out=self.mag) if self.st.dim > 1 else self.sq[0]
+        j = data + float(np.sum(self.aw * np.sqrt(sq))) * self.vol
+        if self.nb is not None:
+            j += 0.5 * float(np.sum(self.nb * sq)) * self.vol
+        return j
 
-def _project_dual(z, aw, nb, sigma):
-    """In-place prox of the cellwise conjugate: radial shrink of |z| to
-    min(|z|, aw) when nb = 0, else to (nb |z| + sigma aw)/(nb + sigma) past aw."""
-    mag = np.sqrt(sq_norm_arrays(z))
-    if nb is None:
-        target = np.minimum(mag, aw)
-    else:
-        target = np.where(mag <= aw, mag, (nb * mag + sigma * aw) / (nb + sigma))
-    scale = np.where(mag > 0, target / np.where(mag > 0, mag, 1.0), 0.0)
-    for c in z:
-        c *= scale
-
-
-def _fenchel_dual_value(p, y, t0, a0, aw, nb, h, vol):
-    """D(p) = -sum[y t0 + h y^2/(2 a0)] - F*(p); y = div p.
-
-    Cells with a0 = 0 contribute +inf to the data conjugate unless y vanishes
-    there (the unsafeguarded-mobility path has no usable certificate then).
-    """
-    zero = a0 <= 0.0
-    if bool(zero.any()):
-        if float(np.abs(y[zero]).max(initial=0.0)) > 1e-12:
+    def _dual_value(self, y):
+        """D(p) of the class docstring, y = div p.  Cells with a0 = 0
+        contribute +inf to the data conjugate unless y vanishes there (the
+        unsafeguarded-mobility path has no usable certificate then)."""
+        a0, aw, nb = self.a0, self.aw, self.nb
+        zero = a0 <= 0.0
+        if bool(zero.any()):
+            if float(np.abs(y[zero]).max(initial=0.0)) > 1e-12:
+                return -np.inf
+            y = np.where(zero, 0.0, y)
+            a0 = np.where(zero, 1.0, a0)
+        val = -float(np.sum(y * self.t0 + 0.5 * self.h * y**2 / a0)) * self.vol
+        excess = np.maximum(self._magnitude(self.p) - aw, 0.0)
+        if nb is None:
+            if float(excess.max()) > 1e-9 * (1.0 + float(aw.max())):
+                return -np.inf
+            return val
+        with np.errstate(divide="ignore", invalid="ignore"):
+            pen = np.where(excess > 0, excess**2 / np.where(nb > 0, 2.0 * nb, 1.0), 0.0)
+            infeasible = (nb == 0) & (excess > 1e-9 * (1.0 + aw))
+        if bool(infeasible.any()):
             return -np.inf
-        y = np.where(zero, 0.0, y)
-        a0 = np.where(zero, 1.0, a0)
-    val = -float(np.sum(y * t0 + 0.5 * h * y**2 / a0)) * vol
-    mag = np.sqrt(sq_norm_arrays(p))
-    excess = np.maximum(mag - aw, 0.0)
-    if nb is None:
-        if float(excess.max()) > 1e-9 * (1.0 + float(aw.max())):
-            return -np.inf
-        return val
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pen = np.where(excess > 0, excess**2 / np.where(nb > 0, 2.0 * nb, 1.0), 0.0)
-        infeasible = (nb == 0) & (excess > 1e-9 * (1.0 + aw))
-    if bool(infeasible.any()):
-        return -np.inf
-    return val - float(np.sum(pen)) * vol
+        return val - float(np.sum(pen)) * self.vol
 
-
-def _certify(t, p, t0, a0, aw, nb, h, dx, vol, linf_in, reconstructable):
-    """Gap certificate at the truncated dual reconstruction."""
-    y = div_arrays(p, dx)
-    if reconstructable:
-        t_rec = t0 + h * y / a0
-    else:
-        t_rec = t
-    t_hat = np.clip(t_rec, -linf_in, linf_in)
-    d_val = _fenchel_dual_value(p, y, t0, a0, aw, nb, h, vol)
-    j_rec = sum(_objective_parts(t_rec, t0, a0, aw, nb, h, dx, vol))
-    j_hat = sum(_objective_parts(t_hat, t0, a0, aw, nb, h, dx, vol))
-    if np.isfinite(d_val):
-        gap_rec = j_rec - d_val
-        gap_hat = j_hat - d_val
-    else:
-        gap_rec = gap_hat = np.inf
-    if not reconstructable:
-        gap_rec = gap_hat  # no reconstruction; certify the primal iterate
-    return t_hat, gap_rec, gap_hat, j_hat
+    def certify(self):
+        """(t_hat, gap at t_rec, gap at t_hat, J(t_hat)) at the last iterate,
+        with t_hat in grid shape; the gaps are inf without a finite dual
+        value, and both are the gap at t_hat when a0 has zeros."""
+        y = self.st.div(self.buf, self.tmp)
+        t_rec = self.t0 + self.h * y / self.a0 if self.reconstructable else self.t
+        t_hat = np.clip(t_rec, -self.linf, self.linf)
+        d_val = self._dual_value(y)
+        j_hat = self._objective(t_hat)
+        if not np.isfinite(d_val):
+            gap_rec = gap_hat = np.inf
+        else:
+            gap_hat = j_hat - d_val
+            gap_rec = self._objective(t_rec) - d_val if self.reconstructable else gap_hat
+        return t_hat.reshape(self.shape), gap_rec, gap_hat, j_hat
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +354,6 @@ def theta_step_smoothed(theta_prev: ScalarField, v_new, model: ModelSpec, nu: fl
     h = params.h
     t0 = theta_prev.values
     a0, aw, bw = _mobility_weights(v_new, model)
-    a0 = np.broadcast_to(a0, t0.shape)
-    aw = np.broadcast_to(aw, t0.shape)
-    bw = np.broadcast_to(bw, t0.shape)
 
     def value(t):
         sq = sq_norm_arrays(grad_arrays(t, dx))
@@ -484,14 +464,11 @@ def oracle_theta_min(theta_prev: ScalarField, v_new, model: ModelSpec, nu: float
     dx, vol = grid.dx, grid.cell_volume
     t0 = theta_prev.values
     a0, aw, bw = _mobility_weights(v_new, model)
-    a0 = np.broadcast_to(a0, t0.shape).copy()
-    aw = np.broadcast_to(aw, t0.shape).copy()
-    bw = np.broadcast_to(bw, t0.shape).copy()
-    nb = 2.0 * nu * bw if nu != 0.0 else None
     linf = float(np.abs(t0).max())
 
     def true_objective(t):
-        return sum(_objective_parts(t, t0, a0, aw, nb, h, dx, vol))
+        data = 0.5 / h * float(np.sum(a0 * (t - t0) ** 2)) * vol
+        return data + phi_nu(v_new, ScalarField(grid, t), model, nu)
 
     def subgrad(t):
         comps = grad_arrays(t, dx)

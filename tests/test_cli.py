@@ -94,6 +94,31 @@ def test_config_rejects_unknown_keys_and_sections(tmp_path):
         parse_config(write_cfg(tmp_path, extra, name="s.cfg"))
 
 
+def test_config_rejects_bad_boolean(tmp_path):
+    text = BASE.format(out=tmp_path / "o").replace("n_steps = 4",
+                                                   "n_steps = 4\noverride_h_gate = ture")
+    with pytest.raises(ConfigError, match=r"scheme\.override_h_gate: cannot parse 'ture'"):
+        build_scheme_params(parse_config(write_cfg(tmp_path, text)), model_for("g1"))
+    for token, want in (("Yes", True), ("off", False), ("0", False)):
+        cfg = parse_config(write_cfg(tmp_path, text.replace("ture", token)))
+        assert build_scheme_params(cfg, model_for("g1")).override_h_gate is want
+
+
+def test_config_rejects_unknown_format(tmp_path):
+    text = BASE.format(out=tmp_path / "o") + "formats = csv,cvs\n"
+    assert main(["run", "--config", write_cfg(tmp_path, text)]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_list_values_name_their_key(tmp_path, capsys):
+    text = BASE.format(out=tmp_path / "o").replace("shape = 24", "shape = 6a")
+    assert main(["run", "--config", write_cfg(tmp_path, text)]) == 2
+    assert "grid.shape: cannot parse '6a'" in capsys.readouterr().err
+    text = BASE.format(out=tmp_path / "o") + "\n[sweep]\nnus = 0.5, 0.2.5\n"
+    assert main(["sweep-nu", "--config", write_cfg(tmp_path, text, name="s.cfg")]) == 2
+    assert "sweep.nus: cannot parse" in capsys.readouterr().err
+
+
 def test_config_missing_required_key(tmp_path):
     cfg = parse_config(write_cfg(tmp_path, "[grid]\ndim = 1\n"))
     with pytest.raises(ConfigError, match="grid.shape: missing required key"):

@@ -383,6 +383,17 @@ def test_mobility_spec_invariants():
         MobilitySpec(MobilityKind.CONSTANT, a0=0.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_specs_reject_non_finite_fields(bad):
+    for field in ("c", "u", "o_star", "iota_star"):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            PotentialSpec(Potential.POLYNOMIAL, **{field: bad})
+    for kind in MobilityKind:
+        for field in ("kappa", "a0", "a", "b"):
+            with pytest.raises(ValueError, match=f"^{field} must be finite"):
+                MobilitySpec(kind, **{field: bad})
+
+
 def test_tokens_round_trip():
     assert Potential.from_token("g2") is Potential.LOGARITHMIC
     assert MobilityKind.from_token("Kobayashi") is MobilityKind.KOBAYASHI

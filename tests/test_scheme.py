@@ -282,3 +282,8 @@ def test_scheme_params_validation(g1_model):
         SchemeParams(h=0.1, n_steps=0)
     with pytest.raises(ValueError):
         SchemeParams(h=0.1, vstep=VStepParams(h=0.2))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^nu must be finite"):
+            SchemeParams(h=0.1, nu=bad)
+        with pytest.raises(ValueError, match="^h must be finite"):
+            SchemeParams(h=bad)

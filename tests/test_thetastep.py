@@ -17,6 +17,7 @@ from grainflow import (
     theta_step_smoothed,
     tmonotonicity_check,
 )
+from grainflow.energy import phi_nu
 from grainflow.grid import div_arrays, grad_arrays, grad_operator_norm_bound, laplacian_arrays
 from grainflow.thetastep import _mobility_weights, _PdhgLoop
 from grainflow.verify import _theta_objective, random_admissible_v, random_smooth_field
@@ -77,12 +78,18 @@ def test_maximum_principle_exact(g1_model, rng, nu):
 
 
 def test_energy_decrease_reported_nonnegative_up_to_gap(g1_model, rng):
+    # theta-half dissipation margin Phi(prev) - Phi(new) - (1/h)|sqrt(a0) dtheta|^2,
+    # evaluated from the returned theta
     grid = GridSpec(1, (48,), 1.0)
     v = random_admissible_v(grid, g1_model, rng)
     theta0 = random_smooth_field(grid, rng, 0.8)
-    params = ThetaStepParams(h=bench_h(g1_model), gap_tol=1e-11)
-    _, rep = theta_step(theta0, v, g1_model, 0.1, params)
-    assert rep.energy_decrease >= -rep.duality_gap - 1e-14
+    h = bench_h(g1_model)
+    out, rep = theta_step(theta0, v, g1_model, 0.1, ThetaStepParams(h=h, gap_tol=1e-11))
+    a0, _, _ = _mobility_weights(v, g1_model)
+    d = out.values - theta0.values
+    margin = (phi_nu(v, theta0, g1_model, 0.1) - phi_nu(v, out, g1_model, 0.1)
+              - float(np.sum(a0 * d * d)) * grid.cell_volume / h)
+    assert margin >= -rep.duality_gap - 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -119,13 +126,59 @@ def test_pdhg_loop_matches_reference_sweeps(g1_model, rng, shape, dx, nu):
     ratio = 0.125 if grid.dim == 1 else 0.0625
     tau = ratio / np.sqrt(grad_operator_norm_bound(grid))
     sigma = 1.0 / (ratio * np.sqrt(grad_operator_norm_bound(grid)))
-    loop = _PdhgLoop(t0, a0, aw, nb, h, dx, tau, sigma, p0)
+    loop = _PdhgLoop(t0, a0, aw, nb, h, dx, p0)
+    loop.set_steps(tau, sigma)
     loop.advance(300)
     want_t, want_p = reference_sweeps(t0, a0, aw, nb, h, dx, tau, sigma, p0, 300)
     got_t, got_p = loop.iterate()
     assert np.max(np.abs(got_t - want_t)) <= 1e-13
     assert np.max(np.abs(got_p - want_p)) <= 1e-13
     assert np.max(np.abs(want_t - t0)) > 1e-3  # the sweeps did move theta
+
+
+@pytest.mark.parametrize("shape, dx", [((48,), 1.0), ((48,), 0.3), ((12, 9), 1.0),
+                                       ((12, 9), 0.3)])
+@pytest.mark.parametrize("nu", [0.0, 0.1])
+def test_certificate_matches_reference_gap(g1_model, rng, shape, dx, nu):
+    # the loop's gap against one written out with div_arrays, the Fenchel
+    # dual D(p) = -sum[y t0 + h y^2/(2 a0)] - F*(p), y = div p, and the
+    # energy's objective
+    grid = GridSpec(len(shape), shape, dx)
+    h, vol = bench_h(g1_model), grid.cell_volume
+    v = random_admissible_v(grid, g1_model, rng)
+    a0, aw, bw = _mobility_weights(v, g1_model)
+    nb = 2.0 * nu * bw if nu != 0.0 else None
+    theta0 = ScalarField(grid, 0.8 * np.tanh(rng.normal(size=shape)))  # rough, slow to solve
+    t0 = theta0.values
+    loop = _PdhgLoop(t0, a0, aw, nb, h, dx)
+    gn = np.sqrt(grad_operator_norm_bound(grid))
+    ratio = 0.125 if grid.dim == 1 else 0.0625
+    loop.set_steps(ratio / gn, 1.0 / (ratio * gn))
+    loop.advance(150)
+    t_hat, gap_rec, gap_hat, j_hat = loop.certify()
+
+    p = loop.iterate()[1]
+    y = div_arrays(list(p), dx)
+    excess = np.maximum(np.sqrt(np.sum(p**2, axis=0)) - aw, 0.0)
+    if nb is None:
+        assert excess.max() <= 1e-12  # inside the ball, where F* is 0
+        conj = 0.0
+    else:
+        conj = float(np.sum(excess**2 / (2.0 * nb))) * vol
+    dual = -float(np.sum(y * t0 + 0.5 * h * y**2 / a0)) * vol - conj
+    t_rec = t0 + h * y / a0
+    m = float(np.abs(t0).max())
+    want_hat = np.clip(t_rec, -m, m)
+
+    def objective(t):
+        return _theta_objective(ScalarField(grid, t), theta0, v, g1_model, nu, h)
+
+    tol = 1e-12 * (1.0 + abs(objective(want_hat)))
+    assert np.max(np.abs(t_hat - want_hat)) <= 1e-12 * m
+    assert abs(j_hat - objective(want_hat)) <= tol
+    assert abs(gap_hat - (objective(want_hat) - dual)) <= tol
+    assert abs(gap_rec - (objective(t_rec) - dual)) <= tol
+    assert gap_rec > 1e-10 and gap_hat >= -tol  # not yet converged; weak duality
 
 
 # ---------------------------------------------------------------------------
