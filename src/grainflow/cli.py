@@ -222,25 +222,27 @@ def build_scheme_params(cfg: RunConfig, model: ModelSpec, override_h_gate=False)
         if not (0.0 < frac < 1.0):
             raise ConfigError(f"scheme.h_frac: must be in (0, 1), got {frac}")
         h = frac * h_star(model)
-    vstep = VStepParams(
-        h=h,
-        outer_tol=cfg.get("scheme", "outer_tol", default=None, cast=float),
-        inner_tol=cfg.get("scheme", "inner_tol", default=None, cast=float),
-    )
-    theta = ThetaStepParams(
-        h=h,
-        gap_tol=cfg.get("scheme", "gap_tol", default=1e-10, cast=float),
-    )
-    return SchemeParams(
-        h=h,
-        nu=cfg.get("scheme", "nu", default=0.0, cast=float),
-        n_steps=cfg.get("scheme", "n_steps", default=1, cast=int),
-        record_every=cfg.get("scheme", "record_every", default=1, cast=int),
-        override_h_gate=override_h_gate or cfg.get("scheme", "override_h_gate",
-                                                   default=False, cast=bool),
-        vstep=vstep,
-        thetastep=theta,
-    )
+    # read every key first: their ConfigErrors name the key and pass through
+    outer_tol = cfg.get("scheme", "outer_tol", default=None, cast=float)
+    inner_tol = cfg.get("scheme", "inner_tol", default=None, cast=float)
+    gap_tol = cfg.get("scheme", "gap_tol", default=1e-10, cast=float)
+    nu = cfg.get("scheme", "nu", default=0.0, cast=float)
+    n_steps = cfg.get("scheme", "n_steps", default=1, cast=int)
+    record_every = cfg.get("scheme", "record_every", default=1, cast=int)
+    override_h_gate = override_h_gate or cfg.get("scheme", "override_h_gate",
+                                                 default=False, cast=bool)
+    try:
+        return SchemeParams(
+            h=h,
+            nu=nu,
+            n_steps=n_steps,
+            record_every=record_every,
+            override_h_gate=override_h_gate,
+            vstep=VStepParams(h=h, outer_tol=outer_tol, inner_tol=inner_tol),
+            thetastep=ThetaStepParams(h=h, gap_tol=gap_tol),
+        )
+    except ValueError as err:
+        raise ConfigError(f"scheme section: {err}") from None
 
 
 def make_initial(kind: str, grid: GridSpec, model: ModelSpec, seed: int,

@@ -285,3 +285,18 @@ def test_probe_contraction_override_records_flagged(tmp_path):
 def test_config_error_exit_code(tmp_path):
     path = write_cfg(tmp_path, "[grid]\nshape 12\n")
     assert main(["run", "--config", path]) == 2
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("nu = 0.1", "nu = inf", "^scheme section: nu must be finite"),
+    ("nu = 0.1", "nu = -1", "^scheme section: nu must be nonnegative"),
+    ("n_steps = 4", "n_steps = 0", "^scheme section: n_steps must be >= 1"),
+    ("n_steps = 4", "n_steps = 4\ngap_tol = 0", "^scheme section: gap_tol must be positive"),
+    ("nu = 0.1", "nu = x1", r"^scheme\.nu: cannot parse 'x1'"),  # passes through unchanged
+])
+def test_invalid_scheme_values_exit_2(tmp_path, old, new, message):
+    text = BASE.format(out=tmp_path / "o").replace(old, new)
+    path = write_cfg(tmp_path, text)
+    with pytest.raises(ConfigError, match=message):
+        build_scheme_params(parse_config(path), model_for("g1"))
+    assert main(["run", "--config", path]) == 2

@@ -165,7 +165,9 @@ def test_run_deterministic_bitwise(g1_model):
 
 
 def test_step_errors_carry_index(g1_model):
-    grid = GridSpec(1, (16,), 1.0)
+    # 2D, where PDHG runs: the exact 1D dual Newton solve meets the run's
+    # gap budget however small gap_tol is
+    grid = GridSpec(2, (4, 4), 1.0)
     init = make_initial("random", grid, g1_model, seed=7)
     params = SchemeParams(
         h=0.5 * h_star(g1_model),

@@ -19,7 +19,7 @@ from grainflow import (
 )
 from grainflow.energy import phi_nu
 from grainflow.grid import div_arrays, grad_arrays, grad_operator_norm_bound, laplacian_arrays
-from grainflow.thetastep import _mobility_weights, _PdhgLoop
+from grainflow.thetastep import _mobility_weights, _PdhgLoop, _thomas
 from grainflow.verify import _theta_objective, random_admissible_v, random_smooth_field
 
 from conftest import model_for
@@ -324,6 +324,41 @@ def test_unique_minimizer_from_two_initializations(g1_model, rng):
     other = tuple(np.full(grid.shape, 0.3) for _ in range(grid.dim))
     out2, _ = theta_step(theta0, v, g1_model, 0.1, params, warm_dual=other)
     assert float(np.abs(out1.values - out2.values).max()) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# exact 1D dual Newton solve
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 2, 5, 64])
+def test_thomas_matches_dense_solve(rng, n):
+    for _ in range(5):
+        off = rng.normal(size=n - 1)
+        pad = np.abs(np.concatenate([[0.0], off, [0.0]]))
+        diag = pad[:-1] + pad[1:] + rng.uniform(0.01, 2.0, size=n)
+        rhs = rng.normal(size=n)
+        dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        assert np.allclose(_thomas(diag, off, rhs), np.linalg.solve(dense, rhs),
+                           rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("dx", [1.0, 0.5])
+@pytest.mark.parametrize("nu", [0.0, 1.0 / 256.0, 0.1, 0.5])
+def test_newton_solves_1d_steps_without_pdhg(g1_model, rng, monkeypatch, nu, dx):
+    # kappa > 0: the dual Newton solve alone must meet the certificate, cold
+    # and warm-started from the previous solve as in the time loop
+    sweeps = []
+    monkeypatch.setattr(_PdhgLoop, "advance", lambda self, n: sweeps.append(n))
+    grid = GridSpec(1, (64,), dx)
+    params = ThetaStepParams(h=bench_h(g1_model))
+    theta, dual = random_smooth_field(grid, rng, 0.8), None
+    for _ in range(4):
+        v = random_admissible_v(grid, g1_model, rng)
+        out, rep = theta_step(theta, v, g1_model, nu, params, warm_dual=dual)
+        assert rep.duality_gap <= params.gap_tol
+        assert rep.linf_out <= rep.linf_in
+        theta, dual = out, rep.dual
+    assert sweeps == []
 
 
 # ---------------------------------------------------------------------------
