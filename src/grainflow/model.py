@@ -165,6 +165,16 @@ class MobilitySpec:
     def beta_curvature_bound(self) -> float:
         return 1.0 if self.kind is MobilityKind.KOBAYASHI else 0.0
 
+    def add_gradient_terms(self, q1, q2, w, eta, gw, ge, tmp):
+        """(gw, ge) += q1 grad(alpha) + q2 grad(beta) at (w, eta), in place,
+        with tmp as scratch; q2 is None for nu = 0.  grad(alpha) = (0, eta)
+        and grad(beta) = (w, 0) for the quadratic family; constant
+        mobilities add nothing."""
+        if self.kind is MobilityKind.KOBAYASHI:
+            ge += np.multiply(q1, eta, out=tmp)
+            if q2 is not None:
+                gw += np.multiply(q2, w, out=tmp)
+
 
 # ---------------------------------------------------------------------------
 # gamma: evaluation and proximal operator
@@ -196,17 +206,18 @@ def gamma_prox(spec: PotentialSpec, lam, r):
     x + (lam/2) log(x/(1-x)) = r is solved cell by cell in the logit variable
     s = logit(x) by a bisection-safeguarded Newton iteration.  Newton starts
     from logit(r) (with r clipped into (0, 1)), kept inside the bracket that
-    sigmoid in [0, 1] gives, and a cell leaves the iteration once its
-    residual |sigmoid(s) + (lam/2) s - r| is <= max(1e-13, 4 eps |r|): past
+    sigmoid in [0, 1] gives, and a cell's s is frozen once its residual
+    |sigmoid(s) + (lam/2) s - r| is <= max(1e-13, 4 eps |r|): past
     |r| of about 100 the rounding of r alone exceeds 1e-13.  Raises
     ``ProxNoConvergence`` if r is not finite or if some cell is still above
     that tolerance after 200 sweeps.
     """
-    if np.any(np.asarray(lam) <= 0):
+    if not lam > 0:  # a scalar or 0-d array; NaN is rejected too
         raise ValueError("prox parameter lam must be positive")
     r_arr = np.asarray(r, dtype=float)
     scalar = r_arr.ndim == 0
-    r_arr = np.atleast_1d(r_arr).astype(float)
+    r_arr = np.atleast_1d(r_arr)
+    # each branch returns a new array, never r itself
     if spec.setting is Potential.POLYNOMIAL:
         out = r_arr.copy()
     elif spec.setting is Potential.INDICATOR:
@@ -217,12 +228,10 @@ def gamma_prox(spec: PotentialSpec, lam, r):
 
 
 def _sigmoid(s):
-    out = np.empty_like(s)
-    pos = s >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-s[pos]))
-    es = np.exp(s[~pos])
-    out[~pos] = es / (1.0 + es)
-    return out
+    # exp(-|s|) never overflows; equal bit for bit to 1/(1 + exp(-s)) for
+    # s >= 0 and exp(s)/(1 + exp(s)) below
+    e = np.exp(-np.abs(s))
+    return np.where(s >= 0, 1.0, e) / (1.0 + e)
 
 
 _LOG_PROX_TOL = 1e-13
@@ -232,46 +241,40 @@ _LOG_PROX_MAX_SWEEPS = 200
 def _log_prox(lam: float, r: np.ndarray) -> np.ndarray:
     # phi(s) = sigmoid(s) + (lam/2) s - r is strictly increasing in s = logit(x);
     # bracket from sigmoid in [0, 1], then Newton steps kept inside the bracket.
-    # Cells are dropped from the working set once they meet the tolerance.
+    # Cells that meet the tolerance keep their s, so their sigmoid is final.
     if not np.all(np.isfinite(r)):
         raise ProxNoConvergence(
             f"logarithmic prox got {int(np.sum(~np.isfinite(r)))} non-finite input cells"
         )
     half = 0.5 * lam
-    rest = r.ravel()
-    out = np.empty_like(rest)
-    idx = np.arange(rest.size)
-    lo = (rest - 1.0) / half
-    hi = rest / half
-    tol = np.maximum(_LOG_PROX_TOL, 4.0 * np.finfo(float).eps * np.abs(rest))
-    x0 = np.clip(rest, 5e-324, np.nextafter(1.0, 0.0))
+    lo = (r - 1.0) / half
+    hi = r / half
+    tol = np.maximum(_LOG_PROX_TOL, 4.0 * np.finfo(float).eps * np.abs(r))
+    x0 = np.clip(r, 5e-324, np.nextafter(1.0, 0.0))
     s = np.clip(np.log(x0) - np.log1p(-x0), lo, hi)
     for _ in range(_LOG_PROX_MAX_SWEEPS):
         sig = _sigmoid(s)
-        phi = sig + half * s - rest
+        phi = sig + half * s - r
         done = np.abs(phi) <= tol
-        out[idx[done]] = sig[done]
-        todo = ~done
-        if not todo.any():
+        if done.all():
             break
-        idx, s, sig, phi, rest, lo, hi, tol = (
-            a[todo] for a in (idx, s, sig, phi, rest, lo, hi, tol)
-        )
         lo = np.where(phi < 0, s, lo)
         hi = np.where(phi >= 0, s, hi)
         s_new = s - phi / (sig * (1.0 - sig) + half)
         # where sigmoid saturates, Newton aims at a bracket end itself, so
         # landing on one is accepted; a step that does not move is not
         bad = (s_new < lo) | (s_new > hi) | (s_new == s)
-        s = np.where(bad, 0.5 * (lo + hi), s_new)
+        s = np.where(done, s, np.where(bad, 0.5 * (lo + hi), s_new))
     else:
+        left = ~done
         raise ProxNoConvergence(
-            f"logarithmic prox left {idx.size} cells above max({_LOG_PROX_TOL:.0e}, 4 eps|r|)"
-            f" after {_LOG_PROX_MAX_SWEEPS} sweeps (worst residual {np.max(np.abs(phi)):.3e})"
+            f"logarithmic prox left {int(left.sum())} cells above"
+            f" max({_LOG_PROX_TOL:.0e}, 4 eps|r|) after {_LOG_PROX_MAX_SWEEPS} sweeps"
+            f" (worst residual {np.max(np.abs(phi[left])):.3e})"
         )
     # keep the output strictly inside (0, 1) so gamma' stays finite even when
     # the true minimizer is closer to an endpoint than floats can represent
-    return np.clip(out.reshape(r.shape), 5e-324, np.nextafter(1.0, 0.0))
+    return np.clip(sig, 5e-324, np.nextafter(1.0, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -348,6 +348,7 @@ class _PdhgLoop:
 
 
 _NEWTON_CAP = 50  # Newton steps before a 1D solve hands over to PDHG
+_ROUNDING_MOVE = 1e-12  # a nu = 0 step moving no edge by more than this times max aw is rounding
 
 
 def _thomas(diag, off, rhs):
@@ -375,26 +376,22 @@ def _dual_newton(loop: _PdhgLoop) -> int:
     |p| <= aw by the gradient and takes the Newton step on the rest.  Steps
     are damped by an Armijo search along the (projected) step.  A full,
     unprojected step is exact when the signed active set at its end is the
-    one it was taken with; the solve stops there, at the cap, or when no
-    damped step decreases Q any more.  The caller certifies the result.
+    one it was taken with; the solve stops there, at the cap, when a nu = 0
+    step would move no edge beyond rounding, or when no damped step
+    decreases Q any more.  The caller certifies the result.
     """
     inv, t0, w = loop.st.inv, loop.t0, loop.h / loop.a0
     q, aw = loop.p[0, :-1], loop.aw[:-1]
     nb = None if loop.nb is None else loop.nb[:-1]
     diag0, off0 = (w[:-1] + w[1:]) * inv**2, -w[1:-1] * inv**2
-
-    def value(x):
-        y = np.diff(x, prepend=0.0, append=0.0) * inv
-        val = float(np.sum(y * (0.5 * w * y + t0)))
-        if nb is not None:
-            val += 0.5 * float(np.sum(np.maximum(np.abs(x) - aw, 0.0) ** 2 / nb))
-        return val, y
+    problem = (w, t0, inv, aw, nb)
+    still = _ROUNDING_MOVE * float(np.max(aw, initial=0.0))
 
     if nb is None:
         np.clip(q, -aw, aw, out=q)
+    val, y = _dual_value(q, *problem)
     prev = None
     for k in range(_NEWTON_CAP + 1):
-        val, y = value(q)
         g = -np.diff(t0 + w * y) * inv
         if nb is None:
             act = np.where((q >= aw) & (g < 0), 1.0, np.where((q <= -aw) & (g > 0), -1.0, 0.0))
@@ -407,18 +404,32 @@ def _dual_newton(loop: _PdhgLoop) -> int:
         if k == _NEWTON_CAP or np.array_equal(act, prev):
             return k
         d = -_thomas(diag, off, rhs)
+        if nb is None and np.all(np.abs(np.clip(q + d, -aw, aw) - q) <= still):
+            return k  # optimal to rounding: no step can strictly decrease Q
         s = 1.0
         while s > 1e-9:
             q1 = q + s * d
             if nb is None:
                 np.clip(q1, -aw, aw, out=q1)
-            if value(q1)[0] < val + 1e-4 * float(np.dot(g, q1 - q)):
+            val1, y1 = _dual_value(q1, *problem)
+            if val1 < val + 1e-4 * float(np.dot(g, q1 - q)):
                 break
             s *= 0.5
         else:
             return k
         prev = act if s == 1.0 and np.array_equal(q1, q + d) else None
         q[:] = q1
+        val, y = val1, y1
+
+
+def _dual_value(x, w, t0, inv, aw, nb):
+    """(Q(x), y) for the dual of :func:`_dual_newton` on the interior edges
+    x, with y = div x on the cells."""
+    y = np.diff(x, prepend=0.0, append=0.0) * inv
+    val = float(np.sum(y * (0.5 * w * y + t0)))
+    if nb is not None:
+        val += 0.5 * float(np.sum(np.maximum(np.abs(x) - aw, 0.0) ** 2 / nb))
+    return val, y
 
 
 # ---------------------------------------------------------------------------

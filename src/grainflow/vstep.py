@@ -11,7 +11,10 @@ The frozen argument is driven to its fixed point by a Banach outer loop,
 which is a contraction with ratio at most h*L for h below the admissible
 step (L is the C2 norm of g on the unit box).  The inner minimization is a
 proximal-gradient iteration: the quadratic, Dirichlet, frozen-coupling, and
-mobility terms are smooth; gamma enters through its pointwise prox.
+mobility terms are smooth; gamma enters through its pointwise prox.  The
+inner loop writes every iteration into buffers allocated once per inner
+solve, and takes the mobility terms q1 grad(alpha) + q2 grad(beta) from
+``MobilitySpec.add_gradient_terms`` in place; only the prox allocates.
 
 The iterate is deliberately not projected onto the box [o*, iota*] x [0, 1]:
 containment is a consequence of assumption (A4) and is verified a
@@ -117,14 +120,17 @@ def v_step(v_prev, theta_prev: ScalarField, model: ModelSpec, nu: float,
     prev_diff = None
     outer_iters = 0
 
-    for _ in range(params.max_outer):
+    for k in range(params.max_outer):
         # coupling frozen at the truncated current iterate
         gw_frozen, ge_frozen = model.grad_g(np.clip(w, 0.0, 1.0), np.clip(e, 0.0, 1.0))
-        w_old, e_old = w.copy(), e.copy()
-        w, e, inner_iters = _inner_prox_gradient(
-            w, e, w_prev, e_prev, gw_frozen, ge_frozen, q1, q2, model, h, tau,
-            stencil, vol, inner_tol, params.max_inner,
-        )
+        w_old, e_old = w, e  # the inner loop writes into neither
+        try:
+            w, e, inner_iters = _inner_prox_gradient(
+                w, e, w_prev, e_prev, gw_frozen, ge_frozen, q1, q2, model, h, tau,
+                stencil, vol, inner_tol, params.max_inner,
+            )
+        except InnerNoConvergence as err:
+            raise InnerNoConvergence(f"outer iteration {k + 1}: {err}") from None
         inner_total += inner_iters
         outer_iters += 1
         diff = _pair_norm(w - w_old, e - e_old, vol)
@@ -164,24 +170,32 @@ def v_step(v_prev, theta_prev: ScalarField, model: ModelSpec, nu: float,
 def _inner_prox_gradient(w, e, w_prev, e_prev, gw_frozen, ge_frozen, q1, q2,
                          model: ModelSpec, h, tau, stencil, vol, inner_tol, max_inner):
     """Proximal gradient on the strictly convex inner objective; gamma acts on
-    w only, so eta takes plain gradient steps."""
+    w only, so eta takes plain gradient steps.  The iteration writes into
+    buffers allocated once per call; only the prox allocates its output."""
     inv_h = 1.0 / h
-    lap = np.empty(w.shape)
+    mob = model.mobility
+    gw, ge, tmp, lap, dw, de = (np.empty(w.shape) for _ in range(6))
+    e, e_next = e.copy(), np.empty(w.shape)
+    diff = np.inf
     for j in range(max_inner):
-        _, _, _, grad_a, grad_b = model.mobilities(w, e)
-        gw = inv_h * (w - w_prev) - stencil.laplacian(w, lap) + gw_frozen + q1 * grad_a[0]
-        ge = inv_h * (e - e_prev) - stencil.laplacian(e, lap) + ge_frozen + q1 * grad_a[1]
-        if q2 is not None:
-            gw += q2 * grad_b[0]
-            ge += q2 * grad_b[1]
-        w_new = model.gamma_prox(tau, w - tau * gw)
-        e_new = e - tau * ge
-        diff = _pair_norm(w_new - w, e_new - e, vol)
-        w, e = w_new, e_new
+        np.subtract(w, w_prev, out=gw)
+        gw *= inv_h
+        gw -= stencil.laplacian(w, lap)
+        gw += gw_frozen
+        np.subtract(e, e_prev, out=ge)
+        ge *= inv_h
+        ge -= stencil.laplacian(e, lap)
+        ge += ge_frozen
+        mob.add_gradient_terms(q1, q2, w, e, gw, ge, tmp)
+        w_new = model.gamma_prox(tau, np.subtract(w, np.multiply(gw, tau, out=tmp), out=tmp))
+        np.subtract(e, np.multiply(ge, tau, out=e_next), out=e_next)
+        diff = _pair_norm(np.subtract(w_new, w, out=dw), np.subtract(e_next, e, out=de), vol)
+        w, e, e_next = w_new, e_next, e
         if diff <= inner_tol:
             return w, e, j + 1
     raise InnerNoConvergence(
-        f"inner proximal gradient did not reach {inner_tol:.2e} in {max_inner} iterations"
+        f"inner proximal gradient did not reach {inner_tol:.2e} in {max_inner} "
+        f"iterations (last diff {diff:.2e})"
     )
 
 

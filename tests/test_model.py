@@ -177,9 +177,80 @@ def test_gamma_prox_logarithmic_large_inputs_converge(lam, rng):
     assert np.all(np.abs(x + 0.5 * lam * logit - r) <= allowed)
 
 
+@pytest.mark.parametrize("spec", [G1, G2, G3], ids=["g1", "g2", "g3"])
+def test_gamma_prox_input_forms_and_fresh_output(spec):
+    for r in (0.3, np.float64(0.3), np.array(0.3)):
+        x = gamma_prox(spec, 0.054, r)
+        assert isinstance(x, float)
+        assert x == gamma_prox(spec, 0.054, np.array([0.3]))[0]
+    listed = gamma_prox(spec, 0.054, [0.2, 0.7, 1.4])
+    assert isinstance(listed, np.ndarray) and listed.shape == (3,)
+    r = np.array([[0.2, 0.7], [-0.3, 1.4]])
+    keep = r.copy()
+    x = gamma_prox(spec, 0.054, r)
+    assert x is not r and x.shape == r.shape
+    x += 1.0
+    assert np.array_equal(r, keep)
+
+
+def _sigmoid_by_branch(s):
+    out = np.empty_like(s)
+    pos = s >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-s[pos]))
+    es = np.exp(s[~pos])
+    out[~pos] = es / (1.0 + es)
+    return out
+
+
+def compacting_log_prox(lam, r):
+    """The logarithmic prox iterating on the cells not yet converged only,
+    with the same sweeps as ``model._log_prox``."""
+    half = 0.5 * lam
+    rest = r.ravel()
+    out = np.empty_like(rest)
+    idx = np.arange(rest.size)
+    lo, hi = (rest - 1.0) / half, rest / half
+    tol = np.maximum(1e-13, 4.0 * np.finfo(float).eps * np.abs(rest))
+    x0 = np.clip(rest, 5e-324, np.nextafter(1.0, 0.0))
+    s = np.clip(np.log(x0) - np.log1p(-x0), lo, hi)
+    for _ in range(200):
+        sig = _sigmoid_by_branch(s)
+        phi = sig + half * s - rest
+        done = np.abs(phi) <= tol
+        out[idx[done]] = sig[done]
+        todo = ~done
+        if not todo.any():
+            return np.clip(out.reshape(r.shape), 5e-324, np.nextafter(1.0, 0.0))
+        idx, s, sig, phi, rest, lo, hi, tol = (
+            a[todo] for a in (idx, s, sig, phi, rest, lo, hi, tol)
+        )
+        lo = np.where(phi < 0, s, lo)
+        hi = np.where(phi >= 0, s, hi)
+        s_new = s - phi / (sig * (1.0 - sig) + half)
+        bad = (s_new < lo) | (s_new > hi) | (s_new == s)
+        s = np.where(bad, 0.5 * (lo + hi), s_new)
+    raise AssertionError("reference prox did not converge")
+
+
+@pytest.mark.parametrize("lam", [1e-3, 0.054, 10.0])
+def test_log_prox_matches_compacting_reference(lam, rng):
+    s = rng.normal(scale=40.0, size=200)
+    assert np.array_equal(model_module._sigmoid(s), _sigmoid_by_branch(s))
+    draws = [
+        rng.uniform(-1000.0, 1000.0, size=300),
+        rng.uniform(-0.5, 1.5, size=(12, 25)),
+        np.concatenate([rng.uniform(0.0, 1.0, size=64), [0.0, 1.0, 0.5, -1e3, 1e3]]),
+    ]
+    for r in draws:
+        x = gamma_prox(G2, lam, r)
+        assert x.shape == r.shape
+        assert np.array_equal(x, compacting_log_prox(lam, r))
+
+
 def test_gamma_prox_rejects_nonpositive_lambda():
-    with pytest.raises(ValueError):
-        gamma_prox(G3, 0.0, 0.3)
+    for lam in (0.0, -1.0, math.nan, np.array(0.0)):
+        with pytest.raises(ValueError):
+            gamma_prox(G3, lam, 0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +341,20 @@ def test_mobility_gradients_match_finite_differences(rng):
         assert abs(fd_aw - float(ga[0])) <= 1e-8 * (1.0 + abs(float(ga[0])))
         assert abs(fd_ae - float(ga[1])) <= 1e-8 * (1.0 + abs(float(ga[1])))
         assert abs(fd_bw - float(gb[0])) <= 1e-8 * (1.0 + abs(float(gb[0])))
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.1])
+@pytest.mark.parametrize("spec", [KOB_SAFE, CONST], ids=["kobayashi", "constant"])
+def test_add_gradient_terms_matches_mobility_eval(spec, nu, rng):
+    w, e, q1 = rng.uniform(-0.5, 1.5, size=(3, 40))
+    q2 = nu * q1**2 if nu else None
+    gw, ge = rng.normal(size=(2, 40))
+    _, _, _, ga, gb = mobility_eval(spec, w, e)
+    want_w, want_e = gw + q1 * ga[0], ge + q1 * ga[1]
+    if q2 is not None:
+        want_w, want_e = want_w + q2 * gb[0], want_e + q2 * gb[1]
+    spec.add_gradient_terms(q1, q2, w, e, gw, ge, np.empty(40))
+    assert np.array_equal(gw, want_w) and np.array_equal(ge, want_e)
 
 
 def test_mobility_nonnegative_and_midpoint_convex(rng):

@@ -19,7 +19,8 @@ from grainflow import (
 )
 from grainflow.energy import phi_nu
 from grainflow.grid import div_arrays, grad_arrays, grad_operator_norm_bound, laplacian_arrays
-from grainflow.thetastep import _mobility_weights, _PdhgLoop, _thomas
+from grainflow import thetastep
+from grainflow.thetastep import _dual_newton, _mobility_weights, _PdhgLoop, _thomas
 from grainflow.verify import _theta_objective, random_admissible_v, random_smooth_field
 
 from conftest import model_for
@@ -359,6 +360,30 @@ def test_newton_solves_1d_steps_without_pdhg(g1_model, rng, monkeypatch, nu, dx)
         assert rep.linf_out <= rep.linf_in
         theta, dual = out, rep.dual
     assert sweeps == []
+
+
+@pytest.mark.parametrize("dx", [1.0, 0.5])
+@pytest.mark.parametrize("setting", ["g1", "g2"])
+def test_newton_restart_from_converged_nu0_dual_takes_no_step(rng, monkeypatch, setting, dx):
+    # a dual optimal to rounding gets a rounding-level projected step, which
+    # cannot strictly decrease Q: the solve must return before any search
+    model = model_for(setting)
+    grid = GridSpec(1, (64,), dx)
+    calls = []
+    value = thetastep._dual_value
+    monkeypatch.setattr(thetastep, "_dual_value", lambda *a: calls.append(1) or value(*a))
+    for _ in range(3):
+        theta = random_smooth_field(grid, rng, 0.8)
+        a0, aw, _ = _mobility_weights(random_admissible_v(grid, model, rng), model)
+        loop = _PdhgLoop(theta.values, a0, aw, None, bench_h(model), dx)
+        _dual_newton(loop)
+        _, gap, _, j_hat = loop.certify()
+        assert gap <= 1e-12 * (1.0 + abs(j_hat))
+        dual = loop.p.copy()
+        calls.clear()
+        assert _dual_newton(loop) == 0
+        assert len(calls) == 1  # Q at the start only, no line-search trial
+        assert np.array_equal(loop.p, dual)
 
 
 # ---------------------------------------------------------------------------

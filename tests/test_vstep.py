@@ -13,7 +13,8 @@ from grainflow.energy import phi_nu
 from grainflow.grid import dirichlet_energy
 from grainflow.model import gamma_eval
 from grainflow.verify import random_admissible_v, random_smooth_field
-from grainflow.vstep import InnerNoConvergence, OuterNoConvergence
+from grainflow import vstep
+from grainflow.vstep import InnerNoConvergence, OuterNoConvergence, _pair_norm
 
 from conftest import model_for
 
@@ -197,7 +198,8 @@ def test_solver_failure_modes(g1_model, rng):
     with pytest.raises(OuterNoConvergence):
         v_step(v0, theta, g1_model, 0.1,
                VStepParams(h=bench_h(g1_model), outer_tol=1e-300, max_outer=3))
-    with pytest.raises(InnerNoConvergence):
+    where = r"^outer iteration 1: .* in 3 iterations \(last diff \d\.\d\de[-+]\d+\)$"
+    with pytest.raises(InnerNoConvergence, match=where):
         v_step(v0, theta, g1_model, 0.1,
                VStepParams(h=bench_h(g1_model), inner_tol=1e-300, max_inner=3))
 
@@ -207,3 +209,56 @@ def test_params_validation():
         VStepParams(h=0.0)
     with pytest.raises(ValueError):
         VStepParams(h=0.1, outer_tol=-1.0)
+
+
+def reference_inner_prox_gradient(w, e, w_prev, e_prev, gw_frozen, ge_frozen, q1, q2,
+                                  model, h, tau, stencil, vol, inner_tol, max_inner):
+    """The inner loop written with fresh temporaries and ``model.mobilities``
+    in every iteration, in the float operations and order of the solver's."""
+    inv_h = 1.0 / h
+    lap = np.empty(w.shape)
+    for j in range(max_inner):
+        _, _, _, grad_a, grad_b = model.mobilities(w, e)
+        gw = inv_h * (w - w_prev) - stencil.laplacian(w, lap) + gw_frozen + q1 * grad_a[0]
+        ge = inv_h * (e - e_prev) - stencil.laplacian(e, lap) + ge_frozen + q1 * grad_a[1]
+        if q2 is not None:
+            gw += q2 * grad_b[0]
+            ge += q2 * grad_b[1]
+        w_new = model.gamma_prox(tau, w - tau * gw)
+        e_new = e - tau * ge
+        diff = _pair_norm(w_new - w, e_new - e, vol)
+        w, e = w_new, e_new
+        if diff <= inner_tol:
+            return w, e, j + 1
+    raise AssertionError("reference inner loop did not converge")
+
+
+@pytest.mark.parametrize("shape", [(64,), (16, 16)])
+@pytest.mark.parametrize("nu", [0.0, 0.1])
+@pytest.mark.parametrize("mobility", ["kobayashi", "constant"])
+@pytest.mark.parametrize("setting", ["g1", "g2", "g3"])
+def test_inner_loop_matches_allocating_reference(setting, mobility, nu, shape, rng, monkeypatch):
+    # the buffered loop must reproduce every iterate bit for bit: compare
+    # with the reference on the inputs of the first two outer iterations
+    model = model_for(setting, mobility)
+    grid = GridSpec(len(shape), shape, 1.0)
+    inner = vstep._inner_prox_gradient
+    compared = []
+
+    def both(w, e, *rest):
+        if len(compared) == 2:
+            return inner(w, e, *rest)
+        w_in, e_in = w.copy(), e.copy()
+        ref = reference_inner_prox_gradient(w_in.copy(), e_in.copy(), *rest)
+        got = inner(w, e, *rest)
+        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+        assert got[2] == ref[2]
+        assert np.array_equal(w, w_in) and np.array_equal(e, e_in)  # inputs untouched
+        compared.append(got[2])
+        return got
+
+    monkeypatch.setattr(vstep, "_inner_prox_gradient", both)
+    v0 = random_admissible_v(grid, model, rng)
+    theta = random_smooth_field(grid, rng, 0.8)
+    v_step(v0, theta, model, nu, VStepParams(h=bench_h(model)))
+    assert len(compared) == 2 and min(compared) >= 2
