@@ -53,8 +53,6 @@ from .thetastep import (
     ThetaStepReport,
     oracle_theta_min,
     theta_step,
-    theta_step_smoothed,
-    tmonotonicity_check,
 )
 from .verify import (
     CheckResult,

@@ -67,6 +67,7 @@ from .verify import (
     random_admissible_v,
     random_grains_field,
     random_smooth_field,
+    validate_nu_schedule,
 )
 from .vstep import VStepParams, v_step
 
@@ -372,6 +373,13 @@ def _setup(args):
     return cfg, model, grid, params, outdir, formats
 
 
+def _positive_int(text) -> int:
+    n = int(text)
+    if n < 1:
+        raise ValueError("must be at least 1")
+    return n
+
+
 def _initial_state(cfg, grid, model):
     return make_initial(
         cfg.get("init", "kind", default="random"),
@@ -379,7 +387,7 @@ def _initial_state(cfg, grid, model):
         model,
         seed=cfg.seed,
         amplitude=cfg.get("init", "amplitude", default=0.8, cast=float),
-        n_grains=cfg.get("init", "n_grains", default=4, cast=int),
+        n_grains=cfg.get("init", "n_grains", default=4, cast=_positive_int),
     )
 
 
@@ -428,7 +436,8 @@ def cmd_sweep_nu(args) -> int:
     cfg, model, grid, params, outdir, formats = _setup(args)
     state = _initial_state(cfg, grid, model)
     if cfg.has("sweep", "nus"):
-        schedule = cfg.get("sweep", "nus", cast=lambda s: [float(t) for t in s.split(",")])
+        schedule = cfg.get("sweep", "nus",
+                           cast=lambda s: validate_nu_schedule(s.split(",")))
     else:
         schedule = [2.0**-k for k in range(1, 9)]
     report = nu_limit_study(state, model, schedule, params)

@@ -12,6 +12,7 @@ holds to machine precision.  All integrals are cell sums times ``dx**dim``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -42,7 +43,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform rectangular grid: 1 or 2 axes, extents >= 2, spacing dx > 0."""
+    """Uniform rectangular grid: 1 or 2 axes, extents >= 2, finite spacing dx > 0."""
 
     dim: int
     shape: tuple
@@ -56,8 +57,8 @@ class GridSpec:
             raise ValueError(f"shape {self.shape} does not match dim {self.dim}")
         if any(n < 2 for n in self.shape):
             raise ValueError(f"all extents must be >= 2, got {self.shape}")
-        if not self.dx > 0:
-            raise ValueError(f"spacing must be positive, got {self.dx}")
+        if not 0 < self.dx < math.inf:
+            raise ValueError(f"spacing must be positive and finite, got {self.dx}")
 
     @property
     def n_cells(self) -> int:
@@ -129,51 +130,29 @@ class PhaseState:
 
 
 # ---------------------------------------------------------------------------
-# array-level kernels (used directly by the solvers to avoid wrapper overhead)
+# array-level kernels: the solvers run on Stencil, the wrappers on a cached one
 # ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=64)
+def _stencil(shape: tuple, dx: float) -> Stencil:
+    return Stencil(shape, dx)
+
 
 def grad_arrays(values: np.ndarray, dx: float):
     """Forward-difference gradient per axis; last slice along each axis is 0."""
-    comps = []
-    inv = 1.0 / dx
-    for ax in range(values.ndim):
-        g = np.zeros_like(values)
-        src = [slice(None)] * values.ndim
-        dst = [slice(None)] * values.ndim
-        src[ax] = slice(1, None)
-        dst[ax] = slice(0, -1)
-        g[tuple(dst)] = values[tuple(src)]
-        g[tuple(dst)] -= values[tuple(dst)]
-        g *= inv
-        comps.append(g)
-    return comps
+    st = _stencil(values.shape, dx)
+    out = st.grad(values.reshape(-1), np.zeros((st.dim, st.n)))
+    return list(out.reshape((st.dim,) + values.shape))
 
 
 def div_arrays(comps, dx: float) -> np.ndarray:
     """Negative adjoint of :func:`grad_arrays` (backward difference with
     boundary folding; the last slice of each component is ignored)."""
-    out = np.zeros_like(comps[0])
-    inv = 1.0 / dx
-    for ax, p in enumerate(comps):
-        nd = p.ndim
-        first = [slice(None)] * nd
-        first[ax] = slice(0, 1)
-        last = [slice(None)] * nd
-        last[ax] = slice(-1, None)
-        secondlast = [slice(None)] * nd
-        secondlast[ax] = slice(-2, -1)
-        mid = [slice(None)] * nd
-        mid[ax] = slice(1, -1)
-        midlo = [slice(None)] * nd
-        midlo[ax] = slice(0, -2)
-        out[tuple(first)] += inv * p[tuple(first)]
-        out[tuple(mid)] += inv * (p[tuple(mid)] - p[tuple(midlo)])
-        out[tuple(last)] -= inv * p[tuple(secondlast)]
-    return out
-
-
-def laplacian_arrays(values: np.ndarray, dx: float) -> np.ndarray:
-    return div_arrays(grad_arrays(values, dx), dx)
+    shape = np.shape(comps[0])
+    st = _stencil(shape, dx)
+    buf = st.flux()
+    np.multiply(np.reshape(comps, (st.dim, st.n)), st.mask, out=buf[:, st.lead:])
+    return st.div(buf, np.empty(st.n)).reshape(shape)
 
 
 def sq_norm_arrays(comps) -> np.ndarray:
@@ -193,16 +172,18 @@ def grad_norm_arrays(values: np.ndarray, dx: float) -> np.ndarray:
 
 
 class Stencil:
-    """:func:`grad_arrays` / :func:`div_arrays` on flat C-order fields of n
-    cells, with buffers, for the solver loops.  The difference along axis k
-    is one subtract at flat stride ``steps[k]``; ``mask`` zeroes each
-    component's far boundary (``scale`` is mask/dx).  A flux lives in a
+    """The package's one discrete gradient and divergence (its negative
+    adjoint), on flat C-order fields of n cells, with buffers for the solver
+    loops; :func:`grad_arrays`, :func:`div_arrays` and
+    :func:`neumann_laplacian` run on a cached instance.  The difference
+    along axis k is one subtract at flat stride ``steps[k]``; ``mask`` zeroes
+    each component's far boundary (``scale`` is mask/dx).  A flux lives in a
     ``(dim, lead + n)`` buffer from :meth:`flux`, its field in
     ``buf[:, lead:]`` after ``lead = max(steps)`` zeros, so the divergence
     reads each shifted component straight from the buffer (at a row start the
     stride-1 axis reads the previous row's far-boundary 0).  Axis differences
-    are summed, then scaled by 1/dx once: the Laplacian equals
-    :func:`laplacian_arrays` bitwise when 1/dx is a power of two.
+    are summed, then scaled by 1/dx once.  Calls on one instance share the
+    scratch ``_tmp`` and ``_lap``: one thread at a time, and no views of them out.
     """
 
     def __init__(self, shape, dx: float):
@@ -267,7 +248,8 @@ def divergence(p: VectorField) -> ScalarField:
 
 def neumann_laplacian(f: ScalarField) -> ScalarField:
     """divergence(gradient(f)): symmetric, negative semidefinite, kills constants."""
-    return ScalarField(f.grid, laplacian_arrays(f.values, f.grid.dx))
+    st = _stencil(f.grid.shape, f.grid.dx)
+    return ScalarField(f.grid, st.laplacian(f.values, np.empty(f.grid.shape)))
 
 
 def inner(a, b) -> float:

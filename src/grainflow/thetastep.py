@@ -34,8 +34,8 @@ max|theta_prev| holds with zero slack, and the per-step dissipation
 inequality (the variational-inequality form with the 1/h coefficient) holds
 with slack bounded by the reported duality gap.
 
-A Huber-smoothed validator and a subgradient-plus-smoothed-Newton reference
-oracle for tiny instances are included for cross-checking.
+A subgradient-plus-smoothed-Newton reference oracle for tiny instances is
+included for cross-checking.
 """
 
 from __future__ import annotations
@@ -53,10 +53,7 @@ __all__ = [
     "ThetaNoConvergence",
     "ThetaStepParams",
     "ThetaStepReport",
-    "TMonotonicityReport",
     "theta_step",
-    "theta_step_smoothed",
-    "tmonotonicity_check",
     "oracle_theta_min",
 ]
 
@@ -82,6 +79,8 @@ class ThetaStepParams:
             raise ValueError("time step h must be positive")
         if not self.gap_tol > 0:
             raise ValueError("gap_tol must be positive")
+        if not (self.max_iters >= 1 and self.check_every >= 1):
+            raise ValueError("max_iters and check_every must be at least 1")
 
 
 @dataclass
@@ -91,13 +90,6 @@ class ThetaStepReport:
     linf_in: float
     linf_out: float
     dual: tuple = field(default=None, repr=False, compare=False)
-
-
-@dataclass
-class TMonotonicityReport:
-    excess: float
-    low: ThetaStepReport
-    high: ThetaStepReport
 
 
 def _mobility_weights(v_new, model: ModelSpec):
@@ -433,101 +425,6 @@ def _dual_value(x, w, t0, inv, aw, nb):
 
 
 # ---------------------------------------------------------------------------
-# smoothed validator
-# ---------------------------------------------------------------------------
-
-def theta_step_smoothed(theta_prev: ScalarField, v_new, model: ModelSpec, nu: float,
-                        params: ThetaStepParams, mu: float = 1e-6,
-                        gradient_tol: float = 1e-10, max_iters: int = 400_000):
-    """Independent validator: |grad theta| is replaced by the Huber-type
-    sqrt(|grad theta|^2 + mu^2) - mu and the smooth objective is driven to
-    the requested gradient norm by Barzilai-Borwein gradient descent with an
-    Armijo backtracking safeguard."""
-    if not mu > 0:
-        raise ValueError("smoothing mu must be positive")
-    grid = theta_prev.grid
-    dx, vol = grid.dx, grid.cell_volume
-    h = params.h
-    t0 = theta_prev.values
-    a0, aw, bw = _mobility_weights(v_new, model)
-
-    def value(t):
-        sq = sq_norm_arrays(grad_arrays(t, dx))
-        rho = np.sqrt(sq + mu * mu)
-        out = 0.5 / h * float(np.sum(a0 * (t - t0) ** 2)) * vol
-        out += float(np.sum(aw * (rho - mu))) * vol
-        if nu != 0.0:
-            out += nu * float(np.sum(bw * sq)) * vol
-        return out
-
-    def gradient(t):
-        comps = grad_arrays(t, dx)
-        rho = np.sqrt(sq_norm_arrays(comps) + mu * mu)
-        flux = [aw * c / rho for c in comps]
-        if nu != 0.0:
-            flux = [f + 2.0 * nu * bw * c for f, c in zip(flux, comps)]
-        return a0 / h * (t - t0) - div_arrays(flux, dx)
-
-    t = t0.copy()
-    g = gradient(t)
-    lip0 = float(a0.max()) / h + (float(aw.max()) / mu + 2.0 * nu * float(bw.max())) \
-        * grad_operator_norm_bound(grid)
-    step = 1.0 / lip0
-    f_cur = value(t)
-    # nonmonotone acceptance: near the optimum the true decrease drops below
-    # float resolution of the objective, so a strict Armijo test would stall
-    recent = [f_cur]
-    for _ in range(max_iters):
-        gnorm = float(np.sqrt(np.vdot(g, g).real * vol))
-        if gnorm <= gradient_tol:
-            return ScalarField(grid, t)
-        f_ref = max(recent)
-        slack = 1e-14 * (1.0 + abs(f_ref))
-        s = step
-        for _ in range(60):
-            t_new = t - s * g
-            f_new = value(t_new)
-            if f_new <= f_ref - 1e-4 * s * gnorm**2 + slack:
-                break
-            s *= 0.5
-        g_new = gradient(t_new)
-        dt = t_new - t
-        dg = g_new - g
-        denom = float(np.vdot(dt, dg).real)
-        step = float(np.vdot(dt, dt).real) / denom if denom > 0 else 1.0 / lip0
-        step = min(max(step, 1e-6 / lip0), 1e8 / lip0)
-        t, g, f_cur = t_new, g_new, f_new
-        recent.append(f_cur)
-        if len(recent) > 10:
-            recent.pop(0)
-    raise ThetaNoConvergence(
-        f"smoothed validator did not reach gradient norm {gradient_tol:.1e}"
-    )
-
-
-# ---------------------------------------------------------------------------
-# order comparison
-# ---------------------------------------------------------------------------
-
-def tmonotonicity_check(v_new, theta_prev_low: ScalarField, theta_prev_high: ScalarField,
-                        model: ModelSpec, nu: float, params: ThetaStepParams
-                        ) -> TMonotonicityReport:
-    """Runs the step on an ordered pair of previous states and reports the
-    worst positive part of (low output - high output); the comparison
-    principle predicts zero for exact solves."""
-    if np.any(theta_prev_low.values > theta_prev_high.values):
-        raise ValueError("tmonotonicity_check requires theta_prev_low <= theta_prev_high")
-    low_t, low_r = theta_step(theta_prev_low, v_new, model, nu, params)
-    if np.array_equal(theta_prev_low.values, theta_prev_high.values):
-        # the step is a deterministic map: equal inputs give equal outputs
-        return TMonotonicityReport(excess=0.0, low=low_r, high=low_r)
-    high_t, high_r = theta_step(theta_prev_high, v_new, model, nu, params,
-                                warm_dual=low_r.dual)
-    excess = float(np.maximum(low_t.values - high_t.values, 0.0).max())
-    return TMonotonicityReport(excess=excess, low=low_r, high=high_r)
-
-
-# ---------------------------------------------------------------------------
 # reference oracle for tiny instances
 # ---------------------------------------------------------------------------
 
@@ -551,8 +448,10 @@ def oracle_theta_min(theta_prev: ScalarField, v_new, model: ModelSpec, nu: float
     (projected onto the max-principle box).  Phase 2 refines with Newton on a
     Huber continuation down to mu = 1e-9, evaluating the true nonsmooth
     objective at the end; the better of the two candidates is returned with
-    its objective value.  The route shares nothing with the primal-dual
-    solver it is used to check.
+    its objective value.  It shares no optimization code with the solver it
+    is used to check; its difference operator is the package's one
+    :class:`~grainflow.grid.Stencil`, which the tests check against an
+    independent slice-based reference.
     """
     grid = theta_prev.grid
     if grid.n_cells > 64:

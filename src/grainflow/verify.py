@@ -31,6 +31,7 @@ __all__ = [
     "check_gamma_sandwich",
     "check_theta_oracle",
     "nu_limit_study",
+    "validate_nu_schedule",
     "random_smooth_field",
     "random_grains_field",
     "random_admissible_v",
@@ -214,19 +215,26 @@ class StudyReport:
         return "\n".join([head] + rows)
 
 
+def validate_nu_schedule(values) -> tuple:
+    """The schedule as a tuple of floats; raises ValueError unless it is a
+    nonempty, strictly decreasing run of finite nonnegative values."""
+    nus = tuple(float(x) for x in values)
+    if len(nus) == 0:
+        raise ValueError("empty nu schedule")
+    if any(b >= a for a, b in zip(nus, nus[1:])):
+        raise ValueError("nu schedule must be strictly decreasing")
+    if not all(0 <= x < math.inf for x in nus):
+        raise ValueError("nu must be finite and nonnegative")
+    return nus
+
+
 def nu_limit_study(init: PhaseState, model: ModelSpec, nu_schedule,
                    params: SchemeParams) -> StudyReport:
     """Runs the scheme once per entry of the decreasing nu schedule (same
     initial state and h) and aggregates nu * sum beta |grad theta|^2 over
     time.  The trend contract: the final entry's aggregate is below 0.1 of
     the first entry's."""
-    nus = tuple(float(x) for x in nu_schedule)
-    if len(nus) == 0:
-        raise ValueError("empty nu schedule")
-    if any(b >= a for a, b in zip(nus, nus[1:])):
-        raise ValueError("nu schedule must be strictly decreasing")
-    if any(x < 0 for x in nus):
-        raise ValueError("nu must be nonnegative")
+    nus = validate_nu_schedule(nu_schedule)
     aggregates = []
     wtv_aggs = []
     for nu in nus:
@@ -280,6 +288,8 @@ def random_grains_field(grid: GridSpec, rng, n_grains: int = 4,
                         amplitude: float = 1.0) -> ScalarField:
     """Piecewise-constant orientation field on Voronoi cells of seeded sites;
     takes exactly n_grains distinct values (provided every site wins a cell)."""
+    if n_grains < 1:
+        raise ValueError(f"n_grains must be at least 1, got {n_grains}")
     coords = np.stack(
         np.meshgrid(*[np.arange(n, dtype=float) for n in grid.shape], indexing="ij"),
         axis=-1,

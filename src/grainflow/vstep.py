@@ -67,6 +67,8 @@ class VStepParams:
         for tol in (self.outer_tol, self.inner_tol):
             if tol is not None and not tol > 0:
                 raise ValueError("tolerances must be positive")
+        if not (self.max_outer >= 1 and self.max_inner >= 1):
+            raise ValueError("max_outer and max_inner must be at least 1")
 
     def resolved_tols(self, grid: GridSpec):
         scale = np.sqrt(grid.volume)

@@ -300,3 +300,18 @@ def test_invalid_scheme_values_exit_2(tmp_path, old, new, message):
     with pytest.raises(ConfigError, match=message):
         build_scheme_params(parse_config(path), model_for("g1"))
     assert main(["run", "--config", path]) == 2
+
+
+@pytest.mark.parametrize("command, old, new, message", [
+    ("run", "dx = 1.0", "dx = inf", "grid section: spacing must be positive and finite, got inf"),
+    ("run", "kind = random", "kind = grains\nn_grains = 0",
+     "init.n_grains: cannot parse '0' (must be at least 1)"),
+    ("sweep-nu", "[output]", "[sweep]\nnus = 0.1,0.5\n[output]",
+     "sweep.nus: cannot parse '0.1,0.5' (nu schedule must be strictly decreasing)"),
+])
+def test_grid_init_and_sweep_values_name_their_key(tmp_path, capsys, command, old, new,
+                                                   message):
+    text = BASE.format(out=tmp_path / "o").replace(old, new)
+    assert main([command, "--config", write_cfg(tmp_path, text)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

@@ -17,16 +17,18 @@ from grainflow import (
 )
 from grainflow.grid import (
     Stencil,
+    _stencil,
     div_arrays,
     grad_arrays,
     inner,
-    laplacian_arrays,
     load_field,
     load_field_raw,
     norm_l2,
     save_field,
     save_field_raw,
 )
+
+from slice_reference import div_slices, grad_slices, laplacian_slices
 
 
 def sf(grid, values):
@@ -146,9 +148,9 @@ STENCIL_SHAPES = [(2,), (64,), (2, 3), (5, 7), (32, 32)]
 
 
 def stencil_pair(shape, dx, rng):
-    """Kernel and reference gradient and divergence of random data; the
-    kernel's flux has its far-boundary entries zeroed, which div_arrays
-    ignores."""
+    """Kernel and slice-reference gradient and divergence of random data;
+    the kernel's flux has its far-boundary entries zeroed, which the
+    reference ignores."""
     stencil = Stencil(shape, dx)
     f = rng.normal(size=shape)
     comps = [rng.normal(size=shape) for _ in shape]
@@ -156,7 +158,7 @@ def stencil_pair(shape, dx, rng):
     buf = stencil.flux()
     buf[:, stencil.lead:] = np.reshape(comps, (len(shape), -1)) * stencil.mask
     div = stencil.div(buf, np.empty(stencil.n)).reshape(shape)
-    ref = (grad_arrays(f, dx), div_arrays(comps, dx))
+    ref = (grad_slices(f, dx), div_slices(comps, dx))
     return (grad.reshape((len(shape),) + shape), div), ref
 
 
@@ -180,7 +182,48 @@ def test_stencil_matches_reference_to_rounding(shape, rng):
 def test_stencil_laplacian_bitwise(shape, dx, rng):
     f = rng.normal(size=shape)
     out = Stencil(shape, dx).laplacian(f, np.empty(shape))
-    assert np.array_equal(out, laplacian_arrays(f, dx))
+    assert np.array_equal(out, laplacian_slices(f, dx))
+
+
+@pytest.mark.parametrize("shape", STENCIL_SHAPES)
+@pytest.mark.parametrize("dx", [1.0, 0.3])
+def test_array_wrappers_match_slice_reference(shape, dx, rng):
+    # div_arrays must ignore the far-boundary entries that the stencil's
+    # divergence requires to be 0, so the flux here has random ones
+    f = rng.normal(size=shape)
+    comps = [rng.normal(size=shape) for _ in shape]
+    assert all(np.array_equal(g, r) for g, r in zip(grad_arrays(f, dx), grad_slices(f, dx)))
+    div, div_ref = div_arrays(comps, dx), div_slices(comps, dx)
+    if dx == 1.0:
+        assert np.array_equal(div, div_ref)
+    else:
+        assert np.max(np.abs(div - div_ref)) <= 1e-15 * np.max(np.abs(div_ref))
+    lap = neumann_laplacian(ScalarField(GridSpec(len(shape), shape, dx), f)).values
+    if dx == 1.0:
+        assert np.array_equal(lap, laplacian_slices(f, dx))
+    else:
+        assert np.max(np.abs(lap - laplacian_slices(f, dx))) <= 1e-14 * np.max(np.abs(lap))
+
+
+@pytest.mark.parametrize("shape", [(6,), (4, 5)])
+def test_array_wrappers_return_fresh_arrays(shape, rng):
+    # the wrappers share one cached stencil per (shape, dx); nothing they
+    # return may alias its scratch buffers or an earlier result
+    grid = GridSpec(len(shape), shape, 0.5)
+    st = _stencil(shape, 0.5)
+    f = ScalarField(grid, rng.normal(size=shape))
+    f_copy = f.values.copy()
+    outs = [*grad_arrays(f.values, 0.5), div_arrays(grad_arrays(f.values, 0.5), 0.5),
+            neumann_laplacian(f).values]
+    kept = [o.copy() for o in outs]
+    for o in outs:
+        assert not np.shares_memory(o, st._tmp) and not np.shares_memory(o, st._lap)
+    other = ScalarField(grid, rng.normal(size=shape))
+    grad_arrays(other.values, 0.5)
+    div_arrays(grad_arrays(other.values, 0.5), 0.5)
+    neumann_laplacian(other)
+    assert all(np.array_equal(o, k) for o, k in zip(outs, kept))
+    assert np.array_equal(f.values, f_copy)
 
 
 @pytest.mark.parametrize("shape", STENCIL_SHAPES)
@@ -358,6 +401,9 @@ def test_gridspec_validation():
         GridSpec(1, (1,), 1.0)
     with pytest.raises(ValueError):
         GridSpec(2, (4, 4), 0.0)
+    for dx in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            GridSpec(1, (4,), dx)
     with pytest.raises(ValueError):
         GridSpec(2, (4,), 1.0)
 

@@ -14,16 +14,15 @@ from grainflow import (
     h_star,
     oracle_theta_min,
     theta_step,
-    theta_step_smoothed,
-    tmonotonicity_check,
 )
 from grainflow.energy import phi_nu
-from grainflow.grid import div_arrays, grad_arrays, grad_operator_norm_bound, laplacian_arrays
+from grainflow.grid import grad_operator_norm_bound
 from grainflow import thetastep
 from grainflow.thetastep import _dual_newton, _mobility_weights, _PdhgLoop, _thomas
 from grainflow.verify import _theta_objective, random_admissible_v, random_smooth_field
 
 from conftest import model_for
+from slice_reference import div_slices, grad_slices, laplacian_slices
 
 
 def bench_h(model):
@@ -62,7 +61,7 @@ def test_linear_system_oracle_with_zero_tv_weight(rng):
     for j in range(n):
         e = np.zeros(n)
         e[j] = 1.0
-        A[:, j] -= 2.0 * nu * 0.7 * laplacian_arrays(e, 1.0)
+        A[:, j] -= 2.0 * nu * 0.7 * laplacian_slices(e, 1.0)
     direct = np.linalg.solve(A, theta0.values / h)
     assert np.sqrt(np.sum((direct - out.values) ** 2)) <= 1e-9
 
@@ -98,17 +97,17 @@ def test_energy_decrease_reported_nonnegative_up_to_gap(g1_model, rng):
 # ---------------------------------------------------------------------------
 
 def reference_sweeps(t0, a0, aw, nb, h, dx, tau, sigma, p, n_sweeps):
-    """The PDHG sweep written out with grad_arrays / div_arrays; returns the
+    """The PDHG sweep written out with the slice reference; returns the
     last (theta, dual)."""
     t, tbar = t0.copy(), t0.copy()
     for _ in range(n_sweeps):
-        z = [pc + sigma * gc for pc, gc in zip(p, grad_arrays(tbar, dx))]
+        z = [pc + sigma * gc for pc, gc in zip(p, grad_slices(tbar, dx))]
         mag = np.sqrt(sum(c**2 for c in z))
         target = np.minimum(mag, aw if nb is None else (nb * mag + sigma * aw) / (nb + sigma))
         scale = np.where(mag > 0, target / np.where(mag > 0, mag, 1.0), 0.0)
         p = [c * scale for c in z]
         coef = tau * a0 / h
-        t_new = (t + tau * div_arrays(p, dx) + coef * t0) / (1.0 + coef)
+        t_new = (t + tau * div_slices(p, dx) + coef * t0) / (1.0 + coef)
         t, tbar = t_new, 2.0 * t_new - t
     return t, np.array(p)
 
@@ -123,7 +122,7 @@ def test_pdhg_loop_matches_reference_sweeps(g1_model, rng, shape, dx, nu):
     nb = 2.0 * nu * bw if nu != 0.0 else None
     t0 = random_smooth_field(grid, rng, 0.8).values
     # a dual inside the ball whose far-boundary entries are 0, as in a run
-    p0 = [0.5 * aw * np.tanh(c) for c in grad_arrays(rng.normal(size=shape), dx)]
+    p0 = [0.5 * aw * np.tanh(c) for c in grad_slices(rng.normal(size=shape), dx)]
     ratio = 0.125 if grid.dim == 1 else 0.0625
     tau = ratio / np.sqrt(grad_operator_norm_bound(grid))
     sigma = 1.0 / (ratio * np.sqrt(grad_operator_norm_bound(grid)))
@@ -141,9 +140,9 @@ def test_pdhg_loop_matches_reference_sweeps(g1_model, rng, shape, dx, nu):
                                        ((12, 9), 0.3)])
 @pytest.mark.parametrize("nu", [0.0, 0.1])
 def test_certificate_matches_reference_gap(g1_model, rng, shape, dx, nu):
-    # the loop's gap against one written out with div_arrays, the Fenchel
-    # dual D(p) = -sum[y t0 + h y^2/(2 a0)] - F*(p), y = div p, and the
-    # energy's objective
+    # the loop's gap against one written out with the slice reference, the
+    # Fenchel dual D(p) = -sum[y t0 + h y^2/(2 a0)] - F*(p), y = div p, and
+    # the energy's objective
     grid = GridSpec(len(shape), shape, dx)
     h, vol = bench_h(g1_model), grid.cell_volume
     v = random_admissible_v(grid, g1_model, rng)
@@ -159,7 +158,7 @@ def test_certificate_matches_reference_gap(g1_model, rng, shape, dx, nu):
     t_hat, gap_rec, gap_hat, j_hat = loop.certify()
 
     p = loop.iterate()[1]
-    y = div_arrays(list(p), dx)
+    y = div_slices(list(p), dx)
     excess = np.maximum(np.sqrt(np.sum(p**2, axis=0)) - aw, 0.0)
     if nb is None:
         assert excess.max() <= 1e-12  # inside the ball, where F* is 0
@@ -183,121 +182,8 @@ def test_certificate_matches_reference_gap(g1_model, rng, shape, dx, nu):
 
 
 # ---------------------------------------------------------------------------
-# smoothed validator
-# ---------------------------------------------------------------------------
-
-def test_smoothed_objective_close_to_primal(g1_model, rng):
-    grid = GridSpec(1, (8,), 1.0)
-    h = bench_h(g1_model)
-    v = random_admissible_v(grid, g1_model, rng)
-    theta0 = random_smooth_field(grid, rng, 1.0)
-    params = ThetaStepParams(h=h, gap_tol=1e-12, check_every=16)
-    out, _ = theta_step(theta0, v, g1_model, 0.1, params)
-    j_pdhg = _theta_objective(out, theta0, v, g1_model, 0.1, h)
-    smooth = theta_step_smoothed(theta0, v, g1_model, 0.1, params, mu=1e-6)
-    j_smooth = _theta_objective(smooth, theta0, v, g1_model, 0.1, h)
-    assert abs(j_smooth - j_pdhg) <= 1e-5
-
-
-def test_smoothed_large_mu_approaches_quadratic_solve(g1_model, rng):
-    # as mu grows the Huber term flattens and the minimizer drifts toward the
-    # solution of the pure quadratic part (monotone trend in mu)
-    grid = GridSpec(1, (16,), 1.0)
-    h = bench_h(g1_model)
-    nu = 0.1
-    v = random_admissible_v(grid, g1_model, rng)
-    theta0 = random_smooth_field(grid, rng, 1.0)
-    a0, _, bw = _mobility_weights(v, g1_model)
-    n = 16
-    A = np.diag(np.broadcast_to(a0, (n,)) / h)
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        from grainflow.grid import grad_arrays, div_arrays
-
-        g = grad_arrays(e, 1.0)
-        A[:, j] -= 2.0 * nu * div_arrays([np.broadcast_to(bw, (n,)) * g[0]], 1.0)
-    quad = np.linalg.solve(A, np.broadcast_to(a0, (n,)) * theta0.values / h)
-    params = ThetaStepParams(h=h)
-    dists = []
-    for mu in (1.0, 10.0, 100.0):
-        out = theta_step_smoothed(theta0, v, g1_model, nu, params, mu=mu)
-        dists.append(float(np.abs(out.values - quad).max()))
-    assert dists[0] > dists[1] > dists[2]
-    assert dists[2] <= 1e-2
-
-
-def test_smoothed_tv_is_convex(rng):
-    grid = GridSpec(1, (12,), 1.0)
-    mu = 0.3
-
-    def huber_tv(vals):
-        from grainflow.grid import grad_arrays
-
-        g = grad_arrays(vals, 1.0)[0]
-        return float(np.sum(np.sqrt(g**2 + mu**2) - mu))
-
-    for _ in range(100):
-        a = rng.normal(size=12)
-        b = rng.normal(size=12)
-        lhs = huber_tv(0.5 * (a + b))
-        rhs = 0.5 * (huber_tv(a) + huber_tv(b))
-        assert lhs <= rhs + 1e-12 * (1.0 + abs(rhs))
-
-
-def test_smoothed_rejects_nonpositive_mu(g1_model, rng):
-    grid = GridSpec(1, (8,), 1.0)
-    v = random_admissible_v(grid, g1_model, rng)
-    theta0 = random_smooth_field(grid, rng, 1.0)
-    with pytest.raises(ValueError):
-        theta_step_smoothed(theta0, v, g1_model, 0.1,
-                            ThetaStepParams(h=0.05), mu=0.0)
-
-
-# ---------------------------------------------------------------------------
 # comparison principle
 # ---------------------------------------------------------------------------
-
-def test_tmonotonicity_identical_inputs(g1_model, rng):
-    grid = GridSpec(1, (16,), 1.0)
-    v = random_admissible_v(grid, g1_model, rng)
-    theta0 = random_smooth_field(grid, rng, 0.8)
-    rep = tmonotonicity_check(v, theta0, theta0, g1_model, 0.0,
-                              ThetaStepParams(h=bench_h(g1_model)))
-    assert rep.excess == 0.0
-
-
-def test_tmonotonicity_constants_stay_ordered(g1_model, rng):
-    grid = GridSpec(1, (16,), 1.0)
-    v = random_admissible_v(grid, g1_model, rng)
-    lo = ScalarField(grid, np.full(16, -0.2))
-    hi = ScalarField(grid, np.full(16, 0.3))
-    rep = tmonotonicity_check(v, lo, hi, g1_model, 0.1,
-                              ThetaStepParams(h=bench_h(g1_model)))
-    assert rep.excess == 0.0
-
-
-@pytest.mark.parametrize("nu", [0.0, 0.1])
-def test_tmonotonicity_ordered_random_pairs_1d(g1_model, rng, nu):
-    grid = GridSpec(1, (16,), 1.0)
-    params = ThetaStepParams(h=bench_h(g1_model), gap_tol=1e-11)
-    for _ in range(5):
-        v = random_admissible_v(grid, g1_model, rng)
-        lo = random_smooth_field(grid, rng, 0.6)
-        bump = np.abs(random_smooth_field(grid, rng, 0.3).values)
-        hi = ScalarField(grid, lo.values + 0.08 + bump)
-        rep = tmonotonicity_check(v, lo, hi, g1_model, nu, params)
-        assert rep.excess <= 1e-8
-
-
-def test_tmonotonicity_requires_order(g1_model, rng):
-    grid = GridSpec(1, (8,), 1.0)
-    v = random_admissible_v(grid, g1_model, rng)
-    lo = ScalarField(grid, np.zeros(8))
-    hi = ScalarField(grid, -np.ones(8))
-    with pytest.raises(ValueError):
-        tmonotonicity_check(v, lo, hi, g1_model, 0.1, ThetaStepParams(h=0.05))
-
 
 def test_weighted_l2_nonexpansive(g1_model, rng):
     grid = GridSpec(2, (16, 16), 1.0)
@@ -489,3 +375,6 @@ def test_params_validation():
         ThetaStepParams(h=-1.0)
     with pytest.raises(ValueError):
         ThetaStepParams(h=0.1, gap_tol=0.0)
+    for caps in ({"check_every": 0}, {"max_iters": 0}, {"check_every": -1}, {"max_iters": -5}):
+        with pytest.raises(ValueError, match="at least 1"):
+            ThetaStepParams(h=0.1, **caps)

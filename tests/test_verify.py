@@ -130,6 +130,9 @@ def test_nu_limit_study_validates_schedule(g1_model):
         nu_limit_study(init, g1_model, [0.1, 0.2], params)
     with pytest.raises(ValueError):
         nu_limit_study(init, g1_model, [], params)
+    for bad in ([0.5, float("nan")], [float("inf"), 0.5], [0.5, -0.1]):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            nu_limit_study(init, g1_model, bad, params)
 
 
 def test_nu_limit_study_passes_solver_tolerances(g1_model, monkeypatch):
@@ -178,6 +181,9 @@ def test_grains_field_distinct_values(grid_2d):
                             amplitude=1.0)
     assert len(np.unique(f.values)) == 4
     assert np.abs(f.values).max() <= 1.0
+    for n in (0, -2):
+        with pytest.raises(ValueError, match="n_grains must be at least 1"):
+            random_grains_field(grid_2d, np.random.default_rng(3), n_grains=n)
 
 
 def test_grains_initial_state_admissible(g1_model):

@@ -17,6 +17,7 @@ from grainflow import vstep
 from grainflow.vstep import InnerNoConvergence, OuterNoConvergence, _pair_norm
 
 from conftest import model_for
+from slice_reference import laplacian_slices
 
 
 def bench_h(model):
@@ -38,12 +39,10 @@ def test_stationary_well_bottom(g1_model):
 def full_objective_gradient(w, e, w_prev, e_prev, model, h, dx):
     """Gradient of the unfrozen semi-implicit objective (constant mobilities,
     polynomial gamma): (1/2h)|v - v_prev|^2 + V_D(v) + G(v)."""
-    from grainflow.grid import laplacian_arrays
-
     gw, ge = model.grad_g(w, e)
     return (
-        (w - w_prev) / h - laplacian_arrays(w, dx) + gw,
-        (e - e_prev) / h - laplacian_arrays(e, dx) + ge,
+        (w - w_prev) / h - laplacian_slices(w, dx) + gw,
+        (e - e_prev) / h - laplacian_slices(e, dx) + ge,
     )
 
 
@@ -209,6 +208,9 @@ def test_params_validation():
         VStepParams(h=0.0)
     with pytest.raises(ValueError):
         VStepParams(h=0.1, outer_tol=-1.0)
+    for caps in ({"max_outer": 0}, {"max_inner": 0}, {"max_outer": -3}, {"max_inner": -1}):
+        with pytest.raises(ValueError, match="at least 1"):
+            VStepParams(h=0.1, **caps)
 
 
 def reference_inner_prox_gradient(w, e, w_prev, e_prev, gw_frozen, ge_frozen, q1, q2,
