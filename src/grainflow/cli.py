@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import sys
 
@@ -143,7 +144,7 @@ class RunConfig:
 
     @property
     def seed(self) -> int:
-        return self.get("init", "seed", default=0, cast=int)
+        return self.get("init", "seed", default=0, cast=_nonnegative_int)
 
 
 def parse_config(path) -> RunConfig:
@@ -268,9 +269,8 @@ def make_initial(kind: str, grid: GridSpec, model: ModelSpec, seed: int,
     else:
         raise ConfigError(f"init.kind: unknown kind {kind!r}")
     state = PhaseState(w, e, th)
-    report = validate_initial(state, model, nu=1.0)
-    bad = [c for c in report.failures() if not c.name.startswith("mobility floor")]
-    if bad:
+    report = validate_initial(state, model)
+    if not report.passed:
         raise ConfigError("generated initial data failed validation:\n" + str(report))
     return state
 
@@ -373,11 +373,19 @@ def _setup(args):
     return cfg, model, grid, params, outdir, formats
 
 
-def _positive_int(text) -> int:
-    n = int(text)
-    if n < 1:
-        raise ValueError("must be at least 1")
-    return n
+def _checked(cast, ok, why):
+    """A config cast that raises ValueError(why) when ok(value) is false."""
+    def parse(text):
+        value = cast(text)
+        if not ok(value):
+            raise ValueError(why)
+        return value
+    return parse
+
+
+_positive_int = _checked(int, lambda n: n >= 1, "must be at least 1")
+_nonnegative_int = _checked(int, lambda n: n >= 0, "must be nonnegative")
+_finite_float = _checked(float, math.isfinite, "must be finite")
 
 
 def _initial_state(cfg, grid, model):
@@ -386,14 +394,13 @@ def _initial_state(cfg, grid, model):
         grid,
         model,
         seed=cfg.seed,
-        amplitude=cfg.get("init", "amplitude", default=0.8, cast=float),
+        amplitude=cfg.get("init", "amplitude", default=0.8, cast=_finite_float),
         n_grains=cfg.get("init", "n_grains", default=4, cast=_positive_int),
     )
 
 
-def _run_logged(args):
-    """Set-up, initial state and time loop, with its energy log and snapshots."""
-    cfg, model, grid, params, outdir, formats = _setup(args)
+def _run_logged(cfg, model, grid, params, outdir, formats):
+    """Initial state and time loop, with its energy log and snapshots."""
     state = _initial_state(cfg, grid, model)
     sink = OutputSink(outdir, cfg.digest, cfg.seed, formats)
     try:
@@ -405,7 +412,7 @@ def _run_logged(args):
 
 
 def cmd_run(args) -> int:
-    *_, outdir, traj = _run_logged(args)
+    *_, outdir, traj = _run_logged(*_setup(args))
     flag = " (outside theorem hypotheses)" if traj.outside_hypotheses else ""
     print(f"run complete: {traj.n_steps} steps, final energy "
           f"{traj.energies[-1].total:.6e}{flag}")
@@ -414,7 +421,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg, model, grid, params, outdir, traj = _run_logged(args)
+    setup = _setup(args)
+    n_oracle = setup[0].get("verify", "n_oracle", default=6, cast=_positive_int)
+    cfg, model, grid, params, outdir, traj = _run_logged(*setup)
     results = [
         check_dissipation(traj),
         check_box(traj),
@@ -424,7 +433,6 @@ def cmd_verify(args) -> int:
     if model.mobility.delta1 > 0:
         results.append(check_gamma_sandwich(model, params.nu, n_samples=100,
                                             seed=cfg.seed))
-    n_oracle = cfg.get("verify", "n_oracle", default=6, cast=int)
     results.append(check_theta_oracle(n_instances=n_oracle, seed=cfg.seed))
     _write_checks_csv(os.path.join(outdir, "checks.csv"), cfg.digest, cfg.seed, results)
     for r in results:
@@ -456,7 +464,7 @@ def cmd_sweep_nu(args) -> int:
 
 def cmd_probe_contraction(args) -> int:
     cfg, model, grid, params, outdir, formats = _setup(args)
-    n_probes = cfg.get("probe", "n_probes", default=20, cast=int)
+    n_probes = cfg.get("probe", "n_probes", default=20, cast=_positive_int)
     hs = h_star(model)
     bound = params.h * model.c2_norm * (1.0 + 1e-6)
     os.makedirs(outdir, exist_ok=True)

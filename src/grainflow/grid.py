@@ -184,11 +184,15 @@ class Stencil:
     stride-1 axis reads the previous row's far-boundary 0).  Axis differences
     are summed, then scaled by 1/dx once.  Calls on one instance share the
     scratch ``_tmp`` and ``_lap``: one thread at a time, and no views of them out.
+    With ``fields`` > 1 the n = fields * prod(shape) cells hold that many
+    fields block after block; the mask wraps per block, the divergence reads
+    a masked 0 at each block seam, and each block's result equals the
+    one-field stencil's (a masked gradient entry may be -0.0 instead of 0.0).
     """
 
-    def __init__(self, shape, dx: float):
+    def __init__(self, shape, dx: float, fields: int = 1):
         shape = tuple(shape)
-        self.dim, self.n = len(shape), math.prod(shape)
+        self.dim, self.n = len(shape), fields * math.prod(shape)
         self.steps = tuple(math.prod(shape[k + 1:]) for k in range(self.dim))
         self.lead = self.steps[0]
         self.inv = 1.0 / dx

@@ -440,6 +440,14 @@ def _dense_difference_ops(grid):
     return mats
 
 
+def _theta_objective(theta: ScalarField, theta0: ScalarField, v, model, nu, h) -> float:
+    """J(theta) of the module docstring, with theta0 as theta_prev."""
+    a0, _, _, _, _ = model.mobilities(v[0].values, v[1].values)
+    vol = theta.grid.cell_volume
+    data = 0.5 / h * float(np.sum(a0 * (theta.values - theta0.values) ** 2)) * vol
+    return data + phi_nu(v, theta, model, nu)
+
+
 def oracle_theta_min(theta_prev: ScalarField, v_new, model: ModelSpec, nu: float,
                      h: float, subgrad_iters: int = 20_000):
     """High-accuracy reference minimizer for instances of at most 64 cells.
@@ -460,10 +468,6 @@ def oracle_theta_min(theta_prev: ScalarField, v_new, model: ModelSpec, nu: float
     t0 = theta_prev.values
     a0, aw, bw = _mobility_weights(v_new, model)
     linf = float(np.abs(t0).max())
-
-    def true_objective(t):
-        data = 0.5 / h * float(np.sum(a0 * (t - t0) ** 2)) * vol
-        return data + phi_nu(v_new, ScalarField(grid, t), model, nu)
 
     def subgrad(t):
         comps = grad_arrays(t, dx)
@@ -536,6 +540,6 @@ def oracle_theta_min(theta_prev: ScalarField, v_new, model: ModelSpec, nu: float
             x = x + s * d
 
     cand = [t_avg, np.clip(x.reshape(grid.shape), -linf, linf), x.reshape(grid.shape)]
-    objs = [true_objective(c) for c in cand]
+    objs = [_theta_objective(ScalarField(grid, c), theta_prev, v_new, model, nu, h) for c in cand]
     best = int(np.argmin(objs))
     return ScalarField(grid, cand[best].copy()), float(objs[best])

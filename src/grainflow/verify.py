@@ -11,7 +11,7 @@ mixtures, and piecewise-constant grain fields for the orientation angle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .energy import phi_nu
 from .grid import GridSpec, PhaseState, ScalarField, grad_arrays, sq_norm_arrays
 from .model import ModelSpec, MobilityKind, MobilitySpec, Potential, PotentialSpec
 from .scheme import SchemeParams, Trajectory, h_star, run
-from .thetastep import ThetaStepParams, oracle_theta_min, theta_step
+from .thetastep import ThetaStepParams, _theta_objective, oracle_theta_min, theta_step
 
 __all__ = [
     "CheckResult",
@@ -55,6 +55,8 @@ class CheckResult:
 
 
 def _result(name, worst, tol, context) -> CheckResult:
+    if worst == -math.inf:  # a check that examined nothing proves nothing
+        raise ValueError(f"{name}: no instance was checked [{context}]")
     return CheckResult(name, bool(worst <= tol), float(worst), float(tol), context)
 
 
@@ -187,13 +189,6 @@ def check_theta_oracle(n_instances: int = 20, seed: int = 0, nus=(0.0, 0.1),
     )
 
 
-def _theta_objective(theta: ScalarField, theta0: ScalarField, v, model, nu, h) -> float:
-    a0, _, _, _, _ = model.mobilities(v[0].values, v[1].values)
-    vol = theta.grid.cell_volume
-    data = 0.5 / h * float(np.sum(a0 * (theta.values - theta0.values) ** 2)) * vol
-    return data + phi_nu(v, theta, model, nu)
-
-
 # ---------------------------------------------------------------------------
 # nu -> 0 study
 # ---------------------------------------------------------------------------
@@ -238,16 +233,7 @@ def nu_limit_study(init: PhaseState, model: ModelSpec, nu_schedule,
     aggregates = []
     wtv_aggs = []
     for nu in nus:
-        p = SchemeParams(
-            h=params.h,
-            nu=nu,
-            n_steps=params.n_steps,
-            record_every=params.n_steps,
-            override_h_gate=params.override_h_gate,
-            vstep=params.vstep,
-            thetastep=params.thetastep,
-        )
-        traj = run(init, model, p)
+        traj = run(init, model, replace(params, nu=nu, record_every=params.n_steps))
         aggregates.append(params.h * sum(e.nu_dirichlet_term for e in traj.energies[1:]))
         wtv_aggs.append(params.h * sum(e.wtv_term for e in traj.energies[1:]))
     passed = len(nus) == 1 or aggregates[-1] < 0.1 * aggregates[0]

@@ -12,9 +12,12 @@ which is a contraction with ratio at most h*L for h below the admissible
 step (L is the C2 norm of g on the unit box).  The inner minimization is a
 proximal-gradient iteration: the quadratic, Dirichlet, frozen-coupling, and
 mobility terms are smooth; gamma enters through its pointwise prox.  The
+solver holds v as one ``(2,) + shape`` array (rows w and eta), so each step
+of the inner loop, the Laplacian included, is one call on both fields.  The
 inner loop writes every iteration into buffers allocated once per inner
 solve, and takes the mobility terms q1 grad(alpha) + q2 grad(beta) from
-``MobilitySpec.add_gradient_terms`` in place; only the prox allocates.
+``MobilitySpec.add_gradient_terms`` in place on the rows; only the prox
+allocates.
 
 The iterate is deliberately not projected onto the box [o*, iota*] x [0, 1]:
 containment is a consequence of assumption (A4) and is verified a
@@ -86,8 +89,13 @@ class VStepReport:
     ratios: tuple = ()
 
 
-def _pair_norm(dw: np.ndarray, de: np.ndarray, vol: float) -> float:
-    return float(np.sqrt((np.vdot(dw, dw) + np.vdot(de, de)).real * vol))
+def _pair_norm(d: np.ndarray, vol: float) -> float:
+    # one vdot per row: a single vdot over both rows would round differently
+    return float(np.sqrt((np.vdot(d[0], d[0]) + np.vdot(d[1], d[1])).real * vol))
+
+
+def _stack(v) -> np.ndarray:
+    return np.stack((v[0].values, v[1].values))
 
 
 def v_step(v_prev, theta_prev: ScalarField, model: ModelSpec, nu: float,
@@ -98,8 +106,7 @@ def v_step(v_prev, theta_prev: ScalarField, model: ModelSpec, nu: float,
     h = params.h
     outer_tol, inner_tol = params.resolved_tols(grid)
 
-    w_prev = v_prev[0].values
-    e_prev = v_prev[1].values
+    v = v_prev = _stack(v_prev)
 
     q1 = grad_norm_arrays(theta_prev.values, dx)
     q2 = nu * q1**2 if nu != 0.0 else None
@@ -111,44 +118,40 @@ def v_step(v_prev, theta_prev: ScalarField, model: ModelSpec, nu: float,
         lip += float(q2.max()) * mob.beta_curvature_bound
     tau = 1.0 / lip
 
-    w = w_prev.copy()
-    e = e_prev.copy()
-    stencil = Stencil(grid.shape, dx)
+    stencil = Stencil(grid.shape, dx, fields=2)
 
     ratio_floor = max(1e5 * inner_tol, 1e-14)
     ratios = []
     inner_total = 0
-    residual = np.inf
     prev_diff = None
-    outer_iters = 0
 
     for k in range(params.max_outer):
         # coupling frozen at the truncated current iterate
-        gw_frozen, ge_frozen = model.grad_g(np.clip(w, 0.0, 1.0), np.clip(e, 0.0, 1.0))
-        w_old, e_old = w, e  # the inner loop writes into neither
+        vc = np.clip(v, 0.0, 1.0)
+        g_frozen = np.stack(model.grad_g(vc[0], vc[1]))
+        v_old = v  # the inner loop does not write into its input
         try:
-            w, e, inner_iters = _inner_prox_gradient(
-                w, e, w_prev, e_prev, gw_frozen, ge_frozen, q1, q2, model, h, tau,
+            v, inner_iters = _inner_prox_gradient(
+                v, v_prev, g_frozen, q1, q2, model, h, tau,
                 stencil, vol, inner_tol, params.max_inner,
             )
         except InnerNoConvergence as err:
             raise InnerNoConvergence(f"outer iteration {k + 1}: {err}") from None
         inner_total += inner_iters
-        outer_iters += 1
-        diff = _pair_norm(w - w_old, e - e_old, vol)
+        diff = _pair_norm(v - v_old, vol)
         if prev_diff is not None and prev_diff >= ratio_floor and diff > 0:
             ratios.append(diff / prev_diff)
         prev_diff = diff
-        residual = diff
         if diff <= outer_tol:
             break
     else:
         raise OuterNoConvergence(
             f"fixed-point loop did not reach {outer_tol:.2e} in "
-            f"{params.max_outer} iterations (last diff {residual:.2e}); "
+            f"{params.max_outer} iterations (last diff {diff:.2e}); "
             f"h={h} may be too large for L={model.c2_norm}"
         )
 
+    w, e = v
     o, i = model.o_star, model.iota_star
     box_violation = max(
         0.0,
@@ -159,7 +162,7 @@ def v_step(v_prev, theta_prev: ScalarField, model: ModelSpec, nu: float,
     )
 
     report = VStepReport(
-        outer_iters=outer_iters,
+        outer_iters=k + 1,
         final_contraction_ratio=max(ratios) if ratios else 0.0,
         inner_iters_total=inner_total,
         box_violation=box_violation,
@@ -169,32 +172,29 @@ def v_step(v_prev, theta_prev: ScalarField, model: ModelSpec, nu: float,
     return v_new, report
 
 
-def _inner_prox_gradient(w, e, w_prev, e_prev, gw_frozen, ge_frozen, q1, q2,
-                         model: ModelSpec, h, tau, stencil, vol, inner_tol, max_inner):
-    """Proximal gradient on the strictly convex inner objective; gamma acts on
-    w only, so eta takes plain gradient steps.  The iteration writes into
-    buffers allocated once per call; only the prox allocates its output."""
+def _inner_prox_gradient(v, v_prev, g_frozen, q1, q2, model: ModelSpec, h, tau,
+                         stencil, vol, inner_tol, max_inner):
+    """Proximal gradient on the strictly convex inner objective, on the
+    stacked pair v; gamma acts on w (row 0) only, so eta takes plain gradient
+    steps.  The iteration writes into buffers allocated once per call; only
+    the prox allocates its output."""
     inv_h = 1.0 / h
     mob = model.mobility
-    gw, ge, tmp, lap, dw, de = (np.empty(w.shape) for _ in range(6))
-    e, e_next = e.copy(), np.empty(w.shape)
-    diff = np.inf
+    g, lap, d = (np.empty(v.shape) for _ in range(3))
+    tmp = np.empty(v.shape[1:])
+    v, v_next = v.copy(), np.empty(v.shape)
     for j in range(max_inner):
-        np.subtract(w, w_prev, out=gw)
-        gw *= inv_h
-        gw -= stencil.laplacian(w, lap)
-        gw += gw_frozen
-        np.subtract(e, e_prev, out=ge)
-        ge *= inv_h
-        ge -= stencil.laplacian(e, lap)
-        ge += ge_frozen
-        mob.add_gradient_terms(q1, q2, w, e, gw, ge, tmp)
-        w_new = model.gamma_prox(tau, np.subtract(w, np.multiply(gw, tau, out=tmp), out=tmp))
-        np.subtract(e, np.multiply(ge, tau, out=e_next), out=e_next)
-        diff = _pair_norm(np.subtract(w_new, w, out=dw), np.subtract(e_next, e, out=de), vol)
-        w, e, e_next = w_new, e_next, e
+        np.subtract(v, v_prev, out=g)
+        g *= inv_h
+        g -= stencil.laplacian(v, lap)
+        g += g_frozen
+        mob.add_gradient_terms(q1, q2, v[0], v[1], g[0], g[1], tmp)
+        np.subtract(v, np.multiply(g, tau, out=v_next), out=v_next)
+        v_next[0] = model.gamma_prox(tau, v_next[0])
+        diff = _pair_norm(np.subtract(v_next, v, out=d), vol)
+        v, v_next = v_next, v
         if diff <= inner_tol:
-            return w, e, j + 1
+            return v, j + 1
     raise InnerNoConvergence(
         f"inner proximal gradient did not reach {inner_tol:.2e} in {max_inner} "
         f"iterations (last diff {diff:.2e})"
@@ -207,14 +207,10 @@ def v_step_perturbation_bound(v_prev_a, v_prev_b, theta_prev: ScalarField,
     |v_a - v_b|^2 / |v_prev_a - v_prev_b|^2 (0 when the inputs coincide).
     For h below the admissible step the ratio is at most 2."""
     vol = theta_prev.grid.cell_volume
-    den = _pair_norm(
-        v_prev_a[0].values - v_prev_b[0].values,
-        v_prev_a[1].values - v_prev_b[1].values,
-        vol,
-    )
+    den = _pair_norm(_stack(v_prev_a) - _stack(v_prev_b), vol)
     va, _ = v_step(v_prev_a, theta_prev, model, nu, params)
     vb, _ = v_step(v_prev_b, theta_prev, model, nu, params)
     if den == 0.0:
         return 0.0
-    num = _pair_norm(va[0].values - vb[0].values, va[1].values - vb[1].values, vol)
+    num = _pair_norm(_stack(va) - _stack(vb), vol)
     return (num / den) ** 2

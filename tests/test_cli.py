@@ -179,7 +179,7 @@ def test_make_initial_respects_g2_box():
     state = make_initial("random", grid, model, seed=1)
     assert state.w.values.min() >= model.o_star
     assert state.w.values.max() <= model.iota_star
-    assert validate_initial(state, model, nu=0.1).passed
+    assert validate_initial(state, model).passed
 
 
 def test_make_initial_unknown_kind(g1_model):
@@ -308,10 +308,22 @@ def test_invalid_scheme_values_exit_2(tmp_path, old, new, message):
      "init.n_grains: cannot parse '0' (must be at least 1)"),
     ("sweep-nu", "[output]", "[sweep]\nnus = 0.1,0.5\n[output]",
      "sweep.nus: cannot parse '0.1,0.5' (nu schedule must be strictly decreasing)"),
+    ("run", "seed = 77", "seed = -1", "init.seed: cannot parse '-1' (must be nonnegative)"),
+    ("run --seed -3", "seed = 77", "seed = 77",
+     "init.seed: cannot parse '-3' (must be nonnegative)"),
+    ("run", "amplitude = 0.6", "amplitude = nan",
+     "init.amplitude: cannot parse 'nan' (must be finite)"),
+    ("run", "amplitude = 0.6", "amplitude = inf",
+     "init.amplitude: cannot parse 'inf' (must be finite)"),
+    ("verify", "[output]", "[verify]\nn_oracle = 0\n[output]",
+     "verify.n_oracle: cannot parse '0' (must be at least 1)"),
+    ("probe-contraction", "[output]", "[probe]\nn_probes = 0\n[output]",
+     "probe.n_probes: cannot parse '0' (must be at least 1)"),
 ])
 def test_grid_init_and_sweep_values_name_their_key(tmp_path, capsys, command, old, new,
                                                    message):
+    # command may carry options after the subcommand name
     text = BASE.format(out=tmp_path / "o").replace(old, new)
-    assert main([command, "--config", write_cfg(tmp_path, text)]) == 2
+    assert main([*command.split(), "--config", write_cfg(tmp_path, text)]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()

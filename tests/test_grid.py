@@ -187,6 +187,29 @@ def test_stencil_laplacian_bitwise(shape, dx, rng):
 
 @pytest.mark.parametrize("shape", STENCIL_SHAPES)
 @pytest.mark.parametrize("dx", [1.0, 0.3])
+def test_stacked_stencil_rows_match_single_field(shape, dx, rng):
+    # with fields=2 the divergence reads block 0's masked far boundary across
+    # the seam, so each row must be the one-field stencil's result
+    single, stacked = Stencil(shape, dx), Stencil(shape, dx, fields=2)
+    dim, n = len(shape), single.n
+    assert stacked.n == 2 * n
+    f = rng.normal(size=(2,) + shape)
+    flux = rng.normal(size=(dim, 2 * n)) * stacked.mask
+    grad = stacked.grad(f.ravel(), np.zeros((dim, 2 * n))).reshape(dim, 2, n)
+    buf = stacked.flux()
+    buf[:, stacked.lead:] = flux
+    div = stacked.div(buf, np.empty(2 * n)).reshape(2, n)
+    lap = stacked.laplacian(f, np.empty(f.shape))
+    for r in range(2):
+        assert np.array_equal(grad[:, r], single.grad(f[r].ravel(), np.zeros((dim, n))))
+        buf_r = single.flux()
+        buf_r[:, single.lead:] = flux.reshape(dim, 2, n)[:, r]
+        assert np.array_equal(div[r], single.div(buf_r, np.empty(n)))
+        assert np.array_equal(lap[r], single.laplacian(f[r], np.empty(shape)))
+
+
+@pytest.mark.parametrize("shape", STENCIL_SHAPES)
+@pytest.mark.parametrize("dx", [1.0, 0.3])
 def test_array_wrappers_match_slice_reference(shape, dx, rng):
     # div_arrays must ignore the far-boundary entries that the stencil's
     # divergence requires to be 0, so the flux here has random ones

@@ -53,14 +53,14 @@ def test_validate_initial(g1_model, g2_model, rng):
         ScalarField(grid, np.full(16, 0.5)),
         ScalarField(grid, rng.uniform(-1.0, 1.0, size=16)),
     )
-    assert validate_initial(good, g1_model, nu=0.1).passed
+    assert validate_initial(good, g1_model).passed
 
     bad_w = PhaseState(
         ScalarField(grid, np.where(np.arange(16) == 3, 1.2, 0.5)),
         ScalarField(grid, np.full(16, 0.5)),
         ScalarField(grid, np.zeros(16)),
     )
-    report = validate_initial(bad_w, g1_model, nu=0.1)
+    report = validate_initial(bad_w, g1_model)
     assert not report.passed
     assert any("o* <= w" in c.name for c in report.failures())
 
@@ -69,7 +69,7 @@ def test_validate_initial(g1_model, g2_model, rng):
         ScalarField(grid, np.full(16, 0.5)),
         ScalarField(grid, np.zeros(16)),
     )
-    assert not validate_initial(below, g2_model, nu=0.1).passed
+    assert not validate_initial(below, g2_model).passed
 
 
 def test_equilibrium_run_is_constant(g1_model):
@@ -104,6 +104,17 @@ def test_h_gate(g1_model, rng):
     params = SchemeParams(h=1.05 * hs, nu=0.1, n_steps=2, override_h_gate=True)
     traj = run(init, g1_model, params)
     assert traj.outside_hypotheses
+
+
+def test_validate_initial_examines_the_state_only():
+    # a zero mobility floor belongs to the model: run flags it, the state passes
+    model = ModelSpec(
+        PotentialSpec(Potential.POLYNOMIAL),
+        MobilitySpec(MobilityKind.KOBAYASHI, kappa=0.0),
+    )
+    state = make_initial("wells", GridSpec(1, (8,), 1.0), model, seed=0)
+    report = validate_initial(state, model)
+    assert report.passed and len(report.conditions) == 3
 
 
 def test_unsafeguarded_mobility_flagged():

@@ -98,6 +98,13 @@ def test_gamma_sandwich_details(g1_model):
         check_gamma_sandwich(zero_floor, nu=0.1)
 
 
+def test_checks_that_examine_nothing_raise(g1_model):
+    with pytest.raises(ValueError, match="no instance was checked"):
+        check_theta_oracle(n_instances=0)
+    with pytest.raises(ValueError, match="no instance was checked"):
+        check_gamma_sandwich(g1_model, nu=0.1, n_samples=0)
+
+
 def test_theta_oracle_check_small():
     res = check_theta_oracle(n_instances=3, seed=5)
     assert res.passed, str(res)
@@ -190,4 +197,4 @@ def test_grains_initial_state_admissible(g1_model):
     grid = GridSpec(2, (32, 32), 1.0)
     state = make_initial("grains", grid, g1_model, seed=6, n_grains=4)
     assert len(np.unique(state.theta.values)) == 4
-    assert validate_initial(state, g1_model, nu=0.1).passed
+    assert validate_initial(state, g1_model).passed

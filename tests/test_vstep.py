@@ -14,7 +14,8 @@ from grainflow.grid import dirichlet_energy
 from grainflow.model import gamma_eval
 from grainflow.verify import random_admissible_v, random_smooth_field
 from grainflow import vstep
-from grainflow.vstep import InnerNoConvergence, OuterNoConvergence, _pair_norm
+from grainflow.grid import Stencil
+from grainflow.vstep import InnerNoConvergence, OuterNoConvergence
 
 from conftest import model_for
 from slice_reference import laplacian_slices
@@ -215,8 +216,9 @@ def test_params_validation():
 
 def reference_inner_prox_gradient(w, e, w_prev, e_prev, gw_frozen, ge_frozen, q1, q2,
                                   model, h, tau, stencil, vol, inner_tol, max_inner):
-    """The inner loop written with fresh temporaries and ``model.mobilities``
-    in every iteration, in the float operations and order of the solver's."""
+    """The inner loop written per field, with fresh temporaries and
+    ``model.mobilities`` in every iteration, in the float operations and
+    order of the solver's."""
     inv_h = 1.0 / h
     lap = np.empty(w.shape)
     for j in range(max_inner):
@@ -228,7 +230,8 @@ def reference_inner_prox_gradient(w, e, w_prev, e_prev, gw_frozen, ge_frozen, q1
             ge += q2 * grad_b[1]
         w_new = model.gamma_prox(tau, w - tau * gw)
         e_new = e - tau * ge
-        diff = _pair_norm(w_new - w, e_new - e, vol)
+        dw, de = w_new - w, e_new - e
+        diff = float(np.sqrt((np.vdot(dw, dw) + np.vdot(de, de)).real * vol))
         w, e = w_new, e_new
         if diff <= inner_tol:
             return w, e, j + 1
@@ -245,18 +248,21 @@ def test_inner_loop_matches_allocating_reference(setting, mobility, nu, shape, r
     model = model_for(setting, mobility)
     grid = GridSpec(len(shape), shape, 1.0)
     inner = vstep._inner_prox_gradient
+    single = Stencil(grid.shape, grid.dx)
     compared = []
 
-    def both(w, e, *rest):
+    def both(v, v_prev, g_frozen, q1, q2, model, h, tau, stencil, *rest):
+        args = (v, v_prev, g_frozen, q1, q2, model, h, tau, stencil, *rest)
         if len(compared) == 2:
-            return inner(w, e, *rest)
-        w_in, e_in = w.copy(), e.copy()
-        ref = reference_inner_prox_gradient(w_in.copy(), e_in.copy(), *rest)
-        got = inner(w, e, *rest)
-        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
-        assert got[2] == ref[2]
-        assert np.array_equal(w, w_in) and np.array_equal(e, e_in)  # inputs untouched
-        compared.append(got[2])
+            return inner(*args)
+        v_in = v.copy()
+        ref = reference_inner_prox_gradient(*v_in.copy(), *v_prev, *g_frozen, q1, q2,
+                                            model, h, tau, single, *rest)
+        got = inner(*args)
+        assert np.array_equal(got[0][0], ref[0]) and np.array_equal(got[0][1], ref[1])
+        assert got[1] == ref[2]
+        assert np.array_equal(v, v_in)  # input untouched
+        compared.append(got[1])
         return got
 
     monkeypatch.setattr(vstep, "_inner_prox_gradient", both)
