@@ -37,25 +37,36 @@ is flat sectioned key-value text::
     directory = out
     formats = csv           # csv or csv,raw
 
+    [verify]
+    n_oracle = 6            # theta-oracle instances checked by verify
+    [sweep]
+    nus = 0.5,0.25          # sweep-nu's decreasing schedule; default 2**-k, k = 1..8
+    [probe]
+    n_probes = 20           # v-steps measured by probe-contraction
+
 Lines starting with ``#`` and inline ``#`` comments are ignored; values may
-be quoted.  Subcommands: run, verify, sweep-nu, probe-contraction.  Exit
-status is nonzero when a requested check fails.
+be quoted.  Subcommands: run, verify, sweep-nu, probe-contraction.  A config
+is valid or invalid whatever the subcommand: every value is read and checked
+before anything is written.  Exit status: 0 ok, 1 a check failed, 2 config
+error (the message names the key), 3 any other error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import math
 import os
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
 from .energy import free_energy
 from .grid import GridSpec, PhaseState, ScalarField, save_field, save_field_raw
 from .model import MobilityKind, MobilitySpec, ModelSpec, Potential, PotentialSpec
-from .scheme import SchemeParams, h_star, run as scheme_run, validate_initial
+from .scheme import SchemeParams, StepReport, h_star, run as scheme_run, validate_initial
 from .thetastep import ThetaStepParams
 from .verify import (
     check_box,
@@ -106,7 +117,6 @@ class RunConfig:
                 if key not in CONFIG_KEYS[section]:
                     raise ConfigError(f"{path}: unknown key {section}.{key}")
         self.sections = sections
-        self.path = path
 
     def get(self, section, key, default=_REQUIRED, cast=str):
         try:
@@ -123,9 +133,6 @@ class RunConfig:
             return cast(raw)
         except (TypeError, ValueError) as err:
             raise ConfigError(f"{section}.{key}: cannot parse {raw!r} ({err})") from None
-
-    def has(self, section, key):
-        return section in self.sections and key in self.sections[section]
 
     @property
     def digest(self) -> str:
@@ -173,16 +180,25 @@ def parse_config(path) -> RunConfig:
 # builders
 # ---------------------------------------------------------------------------
 
-def build_model(cfg: RunConfig) -> ModelSpec:
+@contextlib.contextmanager
+def _section(name):
+    """Re-raises a ValueError from building section ``name`` as a ConfigError
+    naming the section; a ConfigError already names its key and passes as is."""
     try:
-        setting = Potential.from_token(cfg.get("model", "potential", default="g1"))
+        yield
+    except ConfigError:
+        raise
     except ValueError as err:
-        raise ConfigError(f"model section: {err}") from None
-    if setting is Potential.LOGARITHMIC:
-        o_def, i_def = 0.05, 0.95
-    else:
-        o_def, i_def = 0.0, 1.0
-    try:
+        raise ConfigError(f"{name} section: {err}") from None
+
+
+def build_model(cfg: RunConfig) -> ModelSpec:
+    with _section("model"):
+        setting = Potential.from_token(cfg.get("model", "potential", default="g1"))
+        if setting is Potential.LOGARITHMIC:
+            o_def, i_def = 0.05, 0.95
+        else:
+            o_def, i_def = 0.0, 1.0
         potential = PotentialSpec(
             setting=setting,
             c=cfg.get("model", "c", default=1.0, cast=float),
@@ -190,61 +206,46 @@ def build_model(cfg: RunConfig) -> ModelSpec:
             o_star=cfg.get("model", "o_star", default=o_def, cast=float),
             iota_star=cfg.get("model", "iota_star", default=i_def, cast=float),
         )
-        kind = MobilityKind.from_token(cfg.get("model", "mobility", default="kobayashi"))
         mobility = MobilitySpec(
-            kind=kind,
+            kind=MobilityKind.from_token(cfg.get("model", "mobility", default="kobayashi")),
             kappa=cfg.get("model", "kappa", default=1e-2, cast=float),
             a0=cfg.get("model", "a0", default=1.0, cast=float),
             a=cfg.get("model", "a", default=1.0, cast=float),
             b=cfg.get("model", "b", default=1.0, cast=float),
         )
-    except ValueError as err:
-        raise ConfigError(f"model section: {err}") from None
     return ModelSpec(potential, mobility)
 
 
 def build_grid(cfg: RunConfig) -> GridSpec:
     dim = cfg.get("grid", "dim", default=1, cast=int)
     shape = cfg.get("grid", "shape", cast=lambda s: tuple(int(t) for t in s.lower().split("x")))
-    try:
+    with _section("grid"):
         return GridSpec(dim, shape, cfg.get("grid", "dx", default=1.0, cast=float))
-    except ValueError as err:
-        raise ConfigError(f"grid section: {err}") from None
 
 
 def build_scheme_params(cfg: RunConfig, model: ModelSpec, override_h_gate=False) -> SchemeParams:
-    has_h = cfg.has("scheme", "h")
-    has_frac = cfg.has("scheme", "h_frac")
-    if has_h == has_frac:
+    h = cfg.get("scheme", "h", default=None, cast=float)
+    frac = cfg.get("scheme", "h_frac", default=None, cast=float)
+    if (h is None) == (frac is None):
         raise ConfigError("scheme: give exactly one of h / h_frac")
-    if has_h:
-        h = cfg.get("scheme", "h", cast=float)
-    else:
-        frac = cfg.get("scheme", "h_frac", cast=float)
+    if frac is not None:
         if not (0.0 < frac < 1.0):
             raise ConfigError(f"scheme.h_frac: must be in (0, 1), got {frac}")
         h = frac * h_star(model)
-    # read every key first: their ConfigErrors name the key and pass through
-    outer_tol = cfg.get("scheme", "outer_tol", default=None, cast=float)
-    inner_tol = cfg.get("scheme", "inner_tol", default=None, cast=float)
-    gap_tol = cfg.get("scheme", "gap_tol", default=1e-10, cast=float)
-    nu = cfg.get("scheme", "nu", default=0.0, cast=float)
-    n_steps = cfg.get("scheme", "n_steps", default=1, cast=int)
-    record_every = cfg.get("scheme", "record_every", default=1, cast=int)
-    override_h_gate = override_h_gate or cfg.get("scheme", "override_h_gate",
-                                                 default=False, cast=bool)
-    try:
+    with _section("scheme"):
         return SchemeParams(
             h=h,
-            nu=nu,
-            n_steps=n_steps,
-            record_every=record_every,
-            override_h_gate=override_h_gate,
-            vstep=VStepParams(h=h, outer_tol=outer_tol, inner_tol=inner_tol),
-            thetastep=ThetaStepParams(h=h, gap_tol=gap_tol),
+            nu=cfg.get("scheme", "nu", default=0.0, cast=float),
+            n_steps=cfg.get("scheme", "n_steps", default=1, cast=int),
+            record_every=cfg.get("scheme", "record_every", default=1, cast=int),
+            override_h_gate=(cfg.get("scheme", "override_h_gate", default=False, cast=bool)
+                             or override_h_gate),
+            vstep=VStepParams(h=h,
+                              outer_tol=cfg.get("scheme", "outer_tol", default=None, cast=float),
+                              inner_tol=cfg.get("scheme", "inner_tol", default=None, cast=float)),
+            thetastep=ThetaStepParams(
+                h=h, gap_tol=cfg.get("scheme", "gap_tol", default=1e-10, cast=float)),
         )
-    except ValueError as err:
-        raise ConfigError(f"scheme section: {err}") from None
 
 
 def make_initial(kind: str, grid: GridSpec, model: ModelSpec, seed: int,
@@ -294,35 +295,25 @@ class OutputSink:
         self.seed = seed
         self.formats = formats
         os.makedirs(outdir, exist_ok=True)
-        self.energy_path = os.path.join(outdir, "energy.csv")
-        self._fh = open(self.energy_path, "w")
+        self._fh = open(os.path.join(outdir, "energy.csv"), "w")
         self._fh.write(f"# config {digest} seed {seed}\n")
         self._fh.write(ENERGY_COLUMNS + "\n")
 
     def write_initial(self, state: PhaseState, energy):
-        self._row(0, 0.0, energy, 0.0, 0.0, 0, 0, 0, 0.0, 0.0, 0.0,
-                  float(np.abs(state.theta.values).max()))
-        self.snapshot(0, state)
+        linf = float(np.abs(state.theta.values).max())
+        self.on_step(StepReport(0, 0.0, 0.0, 0.0, 0, 0, 0, 0.0, 0.0, 0.0, 0.0, linf), energy)
+        self.on_snapshot(0, state)
 
-    def on_step(self, rep, energy):
-        self._row(rep.step, rep.t, energy, rep.diss_v, rep.diss_theta,
-                  rep.v_outer_iters, rep.v_inner_iters, rep.theta_iters,
-                  rep.duality_gap, rep.contraction_ratio, rep.box_violation,
-                  rep.linf_theta)
-
-    def _row(self, step, t, energy, diss_v, diss_theta, v_outer, v_inner, theta_iters,
-             gap, contraction, box, linf):
-        cells = [str(step), repr(t), repr(energy.dirichlet_v), repr(energy.gamma_term),
+    def on_step(self, rep: StepReport, energy):
+        cells = [str(rep.step), repr(rep.t), repr(energy.dirichlet_v), repr(energy.gamma_term),
                  repr(energy.g_term), repr(energy.wtv_term),
-                 repr(energy.nu_dirichlet_term), repr(energy.total), repr(diss_v),
-                 repr(diss_theta), str(v_outer), str(v_inner), str(theta_iters),
-                 repr(gap), repr(contraction), repr(box), repr(linf)]
+                 repr(energy.nu_dirichlet_term), repr(energy.total), repr(rep.diss_v),
+                 repr(rep.diss_theta), str(rep.v_outer_iters), str(rep.v_inner_iters),
+                 str(rep.theta_iters), repr(rep.duality_gap), repr(rep.contraction_ratio),
+                 repr(rep.box_violation), repr(rep.linf_theta)]
         self._fh.write(",".join(cells) + "\n")
 
     def on_snapshot(self, step, state: PhaseState):
-        self.snapshot(step, state)
-
-    def snapshot(self, step, state: PhaseState):
         header = (f"config {self.digest} seed {self.seed} step {step}",)
         for name, fld in (("w", state.w), ("eta", state.eta), ("theta", state.theta)):
             base = os.path.join(self.outdir, f"step_{step:06d}_{name}")
@@ -338,13 +329,16 @@ class OutputSink:
         self._fh.close()
 
 
-def _write_checks_csv(path, digest, seed, results):
+def _write_table(job, name, header, rows):
+    """Writes the table ``name`` into the job's output directory: the config
+    line, the header and one line per row of preformatted cells."""
+    os.makedirs(job.outdir, exist_ok=True)
+    path = os.path.join(job.outdir, name)
     with open(path, "w") as fh:
-        fh.write(f"# config {digest} seed {seed}\n")
-        fh.write("name,passed,worst_violation,tolerance,context\n")
-        for r in results:
-            fh.write(f"\"{r.name}\",{int(r.passed)},{r.worst_violation!r},"
-                     f"{r.tolerance!r},\"{r.context}\"\n")
+        fh.write(f"# config {job.digest} seed {job.seed}\n{header}\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -357,20 +351,6 @@ def _formats(text):
     if unknown:
         raise ValueError(f"unknown format {sorted(unknown)[0]!r}; use csv and/or raw")
     return tokens
-
-
-def _setup(args):
-    cfg = parse_config(args.config)
-    if args.seed is not None:
-        cfg.sections.setdefault("init", {})["seed"] = str(args.seed)
-    if args.out is not None:
-        cfg.sections.setdefault("output", {})["directory"] = args.out
-    model = build_model(cfg)
-    grid = build_grid(cfg)
-    params = build_scheme_params(cfg, model, override_h_gate=args.override_h_gate)
-    outdir = cfg.get("output", "directory", default="out")
-    formats = cfg.get("output", "formats", default=("csv",), cast=_formats)
-    return cfg, model, grid, params, outdir, formats
 
 
 def _checked(cast, ok, why):
@@ -399,100 +379,106 @@ def _initial_state(cfg, grid, model):
     )
 
 
-def _run_logged(cfg, model, grid, params, outdir, formats):
-    """Initial state and time loop, with its energy log and snapshots."""
-    state = _initial_state(cfg, grid, model)
-    sink = OutputSink(outdir, cfg.digest, cfg.seed, formats)
+def _setup(args) -> SimpleNamespace:
+    """The one read of the config: checks every value any subcommand uses, so
+    a config is valid or not whatever the subcommand, and returns them before
+    any command writes."""
+    cfg = parse_config(args.config)
+    if args.seed is not None:
+        cfg.sections.setdefault("init", {})["seed"] = str(args.seed)
+    if args.out is not None:
+        cfg.sections.setdefault("output", {})["directory"] = args.out
+    model = build_model(cfg)
+    grid = build_grid(cfg)
+    return SimpleNamespace(
+        model=model,
+        grid=grid,
+        params=build_scheme_params(cfg, model, override_h_gate=args.override_h_gate),
+        outdir=cfg.get("output", "directory", default="out"),
+        formats=cfg.get("output", "formats", default=("csv",), cast=_formats),
+        state=_initial_state(cfg, grid, model),
+        n_oracle=cfg.get("verify", "n_oracle", default=6, cast=_positive_int),
+        n_probes=cfg.get("probe", "n_probes", default=20, cast=_positive_int),
+        nus=cfg.get("sweep", "nus", default=tuple(2.0**-k for k in range(1, 9)),
+                    cast=lambda s: validate_nu_schedule(s.split(","))),
+        digest=cfg.digest,
+        seed=cfg.seed,
+        # the flag alone, not the config key: probe-contraction also probes at 2 h*
+        probe_beyond_gate=args.override_h_gate,
+    )
+
+
+def _run_logged(job):
+    """Time loop from the job's initial state, with its energy log and snapshots."""
+    sink = OutputSink(job.outdir, job.digest, job.seed, job.formats)
     try:
-        sink.write_initial(state, free_energy(state, model, params.nu))
-        traj = scheme_run(state, model, params, sink=sink)
+        sink.write_initial(job.state, free_energy(job.state, job.model, job.params.nu))
+        return scheme_run(job.state, job.model, job.params, sink=sink)
     finally:
         sink.close()
-    return cfg, model, grid, params, outdir, traj
 
 
-def cmd_run(args) -> int:
-    *_, outdir, traj = _run_logged(*_setup(args))
+def cmd_run(job) -> int:
+    traj = _run_logged(job)
     flag = " (outside theorem hypotheses)" if traj.outside_hypotheses else ""
     print(f"run complete: {traj.n_steps} steps, final energy "
           f"{traj.energies[-1].total:.6e}{flag}")
-    print(f"energy log: {os.path.join(outdir, 'energy.csv')}")
+    print(f"energy log: {os.path.join(job.outdir, 'energy.csv')}")
     return 0
 
 
-def cmd_verify(args) -> int:
-    setup = _setup(args)
-    n_oracle = setup[0].get("verify", "n_oracle", default=6, cast=_positive_int)
-    cfg, model, grid, params, outdir, traj = _run_logged(*setup)
+def cmd_verify(job) -> int:
+    traj = _run_logged(job)
     results = [
         check_dissipation(traj),
         check_box(traj),
         check_linfty(traj),
-        check_energy_bound(traj, model, grid),
+        check_energy_bound(traj, job.model, job.grid),
     ]
-    if model.mobility.delta1 > 0:
-        results.append(check_gamma_sandwich(model, params.nu, n_samples=100,
-                                            seed=cfg.seed))
-    results.append(check_theta_oracle(n_instances=n_oracle, seed=cfg.seed))
-    _write_checks_csv(os.path.join(outdir, "checks.csv"), cfg.digest, cfg.seed, results)
+    if job.model.mobility.delta1 > 0:
+        results.append(check_gamma_sandwich(job.model, job.params.nu, n_samples=100,
+                                            seed=job.seed))
+    results.append(check_theta_oracle(n_instances=job.n_oracle, seed=job.seed))
+    _write_table(job, "checks.csv", "name,passed,worst_violation,tolerance,context",
+                 [(f'"{r.name}"', str(int(r.passed)), repr(r.worst_violation),
+                   repr(r.tolerance), f'"{r.context}"') for r in results])
     for r in results:
         print(r)
     return 0 if all(r.passed for r in results) else 1
 
 
-def cmd_sweep_nu(args) -> int:
-    cfg, model, grid, params, outdir, formats = _setup(args)
-    state = _initial_state(cfg, grid, model)
-    if cfg.has("sweep", "nus"):
-        schedule = cfg.get("sweep", "nus",
-                           cast=lambda s: validate_nu_schedule(s.split(",")))
-    else:
-        schedule = [2.0**-k for k in range(1, 9)]
-    report = nu_limit_study(state, model, schedule, params)
-    os.makedirs(outdir, exist_ok=True)
-    path = os.path.join(outdir, "sweep.csv")
-    with open(path, "w") as fh:
-        fh.write(f"# config {cfg.digest} seed {cfg.seed}\n")
-        fh.write("nu,nu_dirichlet_aggregate,wtv_aggregate\n")
-        for nu, agg, wtv in zip(report.nus, report.nu_dirichlet_aggregates,
-                                report.wtv_aggregates):
-            fh.write(f"{nu!r},{agg!r},{wtv!r}\n")
+def cmd_sweep_nu(job) -> int:
+    report = nu_limit_study(job.state, job.model, job.nus, job.params)
+    path = _write_table(job, "sweep.csv", "nu,nu_dirichlet_aggregate,wtv_aggregate",
+                        [(repr(nu), repr(agg), repr(wtv)) for nu, agg, wtv in
+                         zip(report.nus, report.nu_dirichlet_aggregates, report.wtv_aggregates)])
     print(report)
     print(f"sweep table: {path}")
     return 0 if report.passed else 1
 
 
-def cmd_probe_contraction(args) -> int:
-    cfg, model, grid, params, outdir, formats = _setup(args)
-    n_probes = cfg.get("probe", "n_probes", default=20, cast=_positive_int)
-    hs = h_star(model)
-    bound = params.h * model.c2_norm * (1.0 + 1e-6)
-    os.makedirs(outdir, exist_ok=True)
+def cmd_probe_contraction(job) -> int:
+    model, h, c2 = job.model, job.params.h, job.model.c2_norm
+    inner_tol = 1e-13 * np.sqrt(job.grid.volume)
     rows = []
-    ok = True
-    tight = VStepParams(h=params.h, inner_tol=1e-13 * np.sqrt(grid.volume))
-    for j in range(n_probes):
-        seed = cfg.seed + j
-        st = make_initial("random", grid, model, seed=seed)
-        _, rep = v_step((st.w, st.eta), st.theta, model, params.nu, tight)
-        rows.append((params.h, seed, rep.final_contraction_ratio, bound, False))
-        ok = ok and rep.final_contraction_ratio <= bound
-    if args.override_h_gate:
-        h_big = 2.0 * hs
-        big = VStepParams(h=h_big, inner_tol=1e-13 * np.sqrt(grid.volume),
-                          max_outer=2000)
-        for j in range(max(3, n_probes // 4)):
-            seed = cfg.seed + 1000 + j
-            st = make_initial("random", grid, model, seed=seed)
-            _, rep = v_step((st.w, st.eta), st.theta, model, params.nu, big)
-            rows.append((h_big, seed, rep.final_contraction_ratio,
-                         h_big * model.c2_norm, True))
-    path = os.path.join(outdir, "contraction.csv")
-    with open(path, "w") as fh:
-        fh.write(f"# config {cfg.digest} seed {cfg.seed}\n")
-        fh.write("h,seed,measured_ratio,guarantee_hL,outside_hypotheses\n")
-        for h, seed, ratio, guard, flagged in rows:
-            fh.write(f"{h!r},{seed},{ratio!r},{guard!r},{int(flagged)}\n")
+
+    def probe(vparams, first_seed, count, guarantee, flagged):
+        for seed in range(first_seed, first_seed + count):
+            st = make_initial("random", job.grid, model, seed=seed)
+            _, rep = v_step((st.w, st.eta), st.theta, model, job.params.nu, vparams)
+            rows.append((vparams.h, seed, rep.final_contraction_ratio, guarantee, flagged))
+
+    probe(VStepParams(h=h, inner_tol=inner_tol), job.seed, job.n_probes,
+          h * c2 * (1.0 + 1e-6), False)
+    if job.probe_beyond_gate:
+        h_big = 2.0 * h_star(model)
+        probe(VStepParams(h=h_big, inner_tol=inner_tol, max_outer=2000), job.seed + 1000,
+              max(3, job.n_probes // 4), h_big * c2, True)
+    ok = all(ratio <= guard for _, _, ratio, guard, flagged in rows if not flagged)
+    path = _write_table(job, "contraction.csv",
+                        "h,seed,measured_ratio,guarantee_hL,outside_hypotheses",
+                        [(repr(h), str(seed), repr(ratio), repr(guard), str(int(flagged)))
+                         for h, seed, ratio, guard, flagged in rows])
     for h, seed, ratio, guard, flagged in rows:
         tag = "probe(out-of-hypothesis)" if flagged else "probe"
         note = " exceeds guarantee" if ratio > guard else ""
@@ -523,7 +509,7 @@ def main(argv=None) -> int:
         p.set_defaults(func=fn)
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_setup(args))
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

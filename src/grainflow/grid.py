@@ -120,11 +120,6 @@ class PhaseState:
     def grid(self) -> GridSpec:
         return self.w.grid
 
-    @property
-    def v(self):
-        """The coupled pair [w, eta]."""
-        return (self.w, self.eta)
-
     def copy(self) -> "PhaseState":
         return PhaseState(self.w.copy(), self.eta.copy(), self.theta.copy())
 

@@ -56,6 +56,15 @@ class ProxNoConvergence(SolverError):
     """The logarithmic gamma prox got non-finite input or exhausted its sweeps."""
 
 
+def _member_from_token(cls, token: str, what: str, expected: str):
+    """The member of enum cls whose value or lower-cased name is token."""
+    token = token.strip().lower()
+    for member in cls:
+        if token in (member.value, member.name.lower()):
+            return member
+    raise ValueError(f"unknown {what} {token!r} (expected {expected})")
+
+
 class Potential(Enum):
     POLYNOMIAL = "g1"
     LOGARITHMIC = "g2"
@@ -63,11 +72,7 @@ class Potential(Enum):
 
     @classmethod
     def from_token(cls, token: str) -> "Potential":
-        token = token.strip().lower()
-        for member in cls:
-            if token in (member.value, member.name.lower()):
-                return member
-        raise ValueError(f"unknown potential {token!r} (expected g1, g2 or g3)")
+        return _member_from_token(cls, token, "potential", "g1, g2 or g3")
 
 
 class MobilityKind(Enum):
@@ -76,11 +81,7 @@ class MobilityKind(Enum):
 
     @classmethod
     def from_token(cls, token: str) -> "MobilityKind":
-        token = token.strip().lower()
-        for member in cls:
-            if token in (member.value, member.name.lower()):
-                return member
-        raise ValueError(f"unknown mobility {token!r} (expected constant or kobayashi)")
+        return _member_from_token(cls, token, "mobility", "constant or kobayashi")
 
 
 def require_finite(spec, *names):
@@ -305,8 +306,8 @@ def grad_g(spec: PotentialSpec, w, eta):
         gw = -c * (w - u - 0.5) + (w - eta)
     ge = eta - w
     if gw.ndim == 0:
-        return float(gw), float(ge * np.ones_like(gw))
-    return gw, ge * np.ones_like(gw)
+        return float(gw), float(ge)
+    return gw, ge
 
 
 def hessian_g(spec: PotentialSpec, w, eta):
@@ -386,17 +387,12 @@ class ModelSpec:
     mobility: MobilitySpec
     c2_norm: float = None
     c_star: float = None
-    c2_samples: int = 401
 
     def __post_init__(self):
         if self.c2_norm is None:
-            object.__setattr__(
-                self, "c2_norm", estimate_c2_norm(self.potential, self.c2_samples)
-            )
+            object.__setattr__(self, "c2_norm", estimate_c2_norm(self.potential))
         if self.c_star is None:
-            object.__setattr__(
-                self, "c_star", estimate_c_star(self.potential, self.c2_samples)
-            )
+            object.__setattr__(self, "c_star", estimate_c_star(self.potential))
 
     # convenience pass-throughs used throughout the solvers
     def gamma(self, w):

@@ -199,7 +199,6 @@ class StudyReport:
     nu_dirichlet_aggregates: tuple
     wtv_aggregates: tuple
     passed: bool
-    context: str
 
     def __str__(self):
         rows = [
@@ -242,7 +241,6 @@ def nu_limit_study(init: PhaseState, model: ModelSpec, nu_schedule,
         nu_dirichlet_aggregates=tuple(aggregates),
         wtv_aggregates=tuple(wtv_aggs),
         passed=passed,
-        context=f"h={params.h:.6g} steps={params.n_steps} schedule={nus}",
     )
 
 
@@ -283,8 +281,7 @@ def random_grains_field(grid: GridSpec, rng, n_grains: int = 4,
     sites = rng.uniform(0.0, 1.0, size=(n_grains, grid.dim)) * (
         np.asarray(grid.shape, dtype=float) - 1.0
     )
-    d2 = ((coords[..., None, :] - sites[None, ...]) ** 2).sum(axis=-1) \
-        if grid.dim == 2 else ((coords[:, None, :] - sites[None, ...]) ** 2).sum(axis=-1)
+    d2 = ((coords[..., None, :] - sites[None, ...]) ** 2).sum(axis=-1)
     labels = np.argmin(d2, axis=-1)
     values = rng.uniform(-amplitude, amplitude, size=n_grains)
     return ScalarField(grid, values[labels])

@@ -86,7 +86,6 @@ class VStepReport:
     final_contraction_ratio: float
     inner_iters_total: int
     box_violation: float
-    ratios: tuple = ()
 
 
 def _pair_norm(d: np.ndarray, vol: float) -> float:
@@ -166,7 +165,6 @@ def v_step(v_prev, theta_prev: ScalarField, model: ModelSpec, nu: float,
         final_contraction_ratio=max(ratios) if ratios else 0.0,
         inner_iters_total=inner_total,
         box_violation=box_violation,
-        ratios=tuple(ratios),
     )
     v_new = (ScalarField(grid, w), ScalarField(grid, e))
     return v_new, report

@@ -319,6 +319,19 @@ def test_invalid_scheme_values_exit_2(tmp_path, old, new, message):
      "verify.n_oracle: cannot parse '0' (must be at least 1)"),
     ("probe-contraction", "[output]", "[probe]\nn_probes = 0\n[output]",
      "probe.n_probes: cannot parse '0' (must be at least 1)"),
+    # every key is checked whatever the subcommand, before anything is written
+    ("probe-contraction", "seed = 77", "seed = -1",
+     "init.seed: cannot parse '-1' (must be nonnegative)"),
+    ("probe-contraction", "kind = random", "kind = vortex", "init.kind: unknown kind 'vortex'"),
+    ("run", "[output]", "[sweep]\nnus = 0.1,0.5\n[output]",
+     "sweep.nus: cannot parse '0.1,0.5' (nu schedule must be strictly decreasing)"),
+    ("run", "[output]", "[probe]\nn_probes = 0\n[output]",
+     "probe.n_probes: cannot parse '0' (must be at least 1)"),
+    ("run --override-h-gate", "n_steps = 4", "n_steps = 4\noverride_h_gate = ture",
+     "scheme.override_h_gate: cannot parse 'ture'"),
+    # a key's own message is not prefixed again with its section
+    ("run", "c = 1.0", "c = abc", "config error: model.c: cannot parse 'abc'"),
+    ("run", "dx = 1.0", "dx = bad", "config error: grid.dx: cannot parse 'bad'"),
 ])
 def test_grid_init_and_sweep_values_name_their_key(tmp_path, capsys, command, old, new,
                                                    message):
