@@ -2,6 +2,9 @@
 of planar grain boundary motion: per time step, a contraction fixed-point
 solve for the order parameters followed by a weighted-total-variation convex
 minimization for the orientation angle, for every interface parameter nu >= 0.
+The time loop solves the fixed point with one proximal-gradient loop that
+refreshes the coupling at every iteration; the verification path runs the
+paper's Banach map, an outer loop around that inner loop.
 """
 
 from .energy import EnergyBreakdown, free_energy, phi_nu

@@ -22,6 +22,7 @@ is flat sectioned key-value text::
 
     [scheme]
     h_frac = 0.5            # h as a fraction of h*; or give h directly
+    override_h_gate = no    # an h at or above h* is a config error without it
     nu = 0.1
     n_steps = 100
     record_every = 10
@@ -224,16 +225,19 @@ def build_grid(cfg: RunConfig) -> GridSpec:
 
 
 def build_scheme_params(cfg: RunConfig, model: ModelSpec, override_h_gate=False) -> SchemeParams:
+    """The scheme section as SchemeParams; an h at or above h* without the
+    override is a config error, so no command writes before the gate."""
     h = cfg.get("scheme", "h", default=None, cast=float)
     frac = cfg.get("scheme", "h_frac", default=None, cast=float)
     if (h is None) == (frac is None):
         raise ConfigError("scheme: give exactly one of h / h_frac")
+    hs = h_star(model)
     if frac is not None:
         if not (0.0 < frac < 1.0):
             raise ConfigError(f"scheme.h_frac: must be in (0, 1), got {frac}")
-        h = frac * h_star(model)
+        h = frac * hs
     with _section("scheme"):
-        return SchemeParams(
+        params = SchemeParams(
             h=h,
             nu=cfg.get("scheme", "nu", default=0.0, cast=float),
             n_steps=cfg.get("scheme", "n_steps", default=1, cast=int),
@@ -246,6 +250,10 @@ def build_scheme_params(cfg: RunConfig, model: ModelSpec, override_h_gate=False)
             thetastep=ThetaStepParams(
                 h=h, gap_tol=cfg.get("scheme", "gap_tol", default=1e-10, cast=float)),
         )
+    if h >= hs and not params.override_h_gate:
+        raise ConfigError(f"scheme.h: {h} is not below the admissible step h* = {hs:.6g}; "
+                          "set scheme.override_h_gate or pass --override-h-gate")
+    return params
 
 
 def make_initial(kind: str, grid: GridSpec, model: ModelSpec, seed: int,

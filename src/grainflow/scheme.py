@@ -1,8 +1,7 @@
 """Time-stepping loop for the full approximating problem.
 
-Each step is a v-step (fixed-point contraction solve for [w, eta]) followed
-by a theta-step (weighted-TV convex minimization), recording the two
-dissipation amounts
+Each step is a v-step followed by a theta-step (weighted-TV convex
+minimization), recording the two dissipation amounts
 
     (1/2h)|v_i - v_{i-1}|^2   and   (1/h)|sqrt(alpha0(v_i))(theta_i - theta_{i-1})|^2
 
@@ -10,6 +9,9 @@ whose sum plus the new free energy must not exceed the previous free energy.
 The step size is gated by the admissible threshold h* = 0.9 / max(2, 4L)
 (L the C2 norm of g on the unit box); larger steps require an explicit
 override and mark the run as outside the well-posedness hypotheses.
+The v-step is ``v_step(..., fused=True)``: one proximal-gradient loop that
+refreshes the coupling at every iteration, with the fixed point of the
+paper's Banach map, which the verification path runs.
 """
 
 from __future__ import annotations
@@ -84,11 +86,11 @@ class StepReport:
     t: float
     diss_v: float
     diss_theta: float
-    v_outer_iters: int
+    v_outer_iters: int  # coupling evaluations: v_inner_iters in run
     v_inner_iters: int
     theta_iters: int
     duality_gap: float
-    contraction_ratio: float
+    contraction_ratio: float  # run's single loop: below 1 - tau (1/h - L)
     box_violation: float
     linf_in: float
     linf_theta: float
@@ -171,7 +173,8 @@ def run(init: PhaseState, model: ModelSpec, params: SchemeParams, sink=None) -> 
         # 1e-9*(1+|F_prev|) sits 10x inside the 1e-8*(1+|F_prev|) budget
         gap_budget = 1e-9 * (1.0 + abs(energies[-1].total))
         try:
-            v_new, vrep = v_step((state.w, state.eta), state.theta, model, nu, params.vstep)
+            v_new, vrep = v_step((state.w, state.eta), state.theta, model, nu, params.vstep,
+                                 fused=True)
             theta_new, trep = theta_step(state.theta, v_new, model, nu, params.thetastep,
                                          warm_dual=warm_dual, gap_abs=gap_budget)
         except SolverError as err:  # same class, so callers can catch one kind

@@ -34,7 +34,7 @@ max|theta_prev| holds with zero slack, and the per-step dissipation
 inequality (the variational-inequality form with the 1/h coefficient) holds
 with slack bounded by the reported duality gap.
 
-A subgradient-plus-smoothed-Newton reference oracle for tiny instances is
+A smoothed-Newton reference oracle for tiny instances is
 included for cross-checking.
 """
 
@@ -45,8 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .energy import phi_nu
-from .grid import (ScalarField, Stencil, div_arrays, grad_arrays, grad_operator_norm_bound,
-                   sq_norm_arrays)
+from .grid import ScalarField, Stencil, grad_arrays, grad_operator_norm_bound
 from .model import ModelSpec, SolverError
 
 __all__ = [
@@ -449,49 +448,25 @@ def _theta_objective(theta: ScalarField, theta0: ScalarField, v, model, nu, h) -
 
 
 def oracle_theta_min(theta_prev: ScalarField, v_new, model: ModelSpec, nu: float,
-                     h: float, subgrad_iters: int = 20_000):
+                     h: float):
     """High-accuracy reference minimizer for instances of at most 64 cells.
 
-    Phase 1 is a weighted-average subgradient descent with diminishing steps
-    (projected onto the max-principle box).  Phase 2 refines with Newton on a
-    Huber continuation down to mu = 1e-9, evaluating the true nonsmooth
-    objective at the end; the better of the two candidates is returned with
-    its objective value.  It shares no optimization code with the solver it
-    is used to check; its difference operator is the package's one
-    :class:`~grainflow.grid.Stencil`, which the tests check against an
-    independent slice-based reference.
+    Newton on a Huber continuation down to mu = 1e-9, started from theta_prev
+    (which lies in the max-principle box), evaluating the true nonsmooth
+    objective at the end; the better of the Newton point and its truncation
+    onto the box is returned with its objective value.  It shares no
+    optimization code with the solver it is used to check; its difference
+    operator is the package's one :class:`~grainflow.grid.Stencil`, which the
+    tests check against an independent slice-based reference.
     """
     grid = theta_prev.grid
     if grid.n_cells > 64:
         raise ValueError("oracle_theta_min is restricted to <= 64 cells")
-    dx, vol = grid.dx, grid.cell_volume
+    vol = grid.cell_volume
     t0 = theta_prev.values
     a0, aw, bw = _mobility_weights(v_new, model)
     linf = float(np.abs(t0).max())
 
-    def subgrad(t):
-        comps = grad_arrays(t, dx)
-        mag = np.sqrt(sq_norm_arrays(comps))
-        safe = np.where(mag > 0, mag, 1.0)
-        flux = [aw * np.where(mag > 0, c / safe, 0.0) for c in comps]
-        if nu != 0.0:
-            flux = [f + 2.0 * nu * bw * c for f, c in zip(flux, comps)]
-        return a0 / h * (t - t0) - div_arrays(flux, dx)
-
-    # phase 1: averaged projected subgradient with O(1/k) steps
-    mu_sc = max(float(a0.min()), 1e-12 * float(a0.max())) / h
-    t = t0.copy()
-    t_avg = np.zeros_like(t)
-    weight_sum = 0.0
-    for k in range(subgrad_iters):
-        gk = subgrad(t)
-        t = np.clip(t - 2.0 / (mu_sc * (k + 2.0)) * gk, -linf, linf)
-        wk = k + 1.0
-        t_avg += wk * t
-        weight_sum += wk
-    t_avg /= weight_sum
-
-    # phase 2: Huber continuation + dense Newton
     mats = _dense_difference_ops(grid)
     n = grid.n_cells
     a0f, awf, bwf = a0.ravel(), aw.ravel(), bw.ravel()
@@ -519,7 +494,7 @@ def oracle_theta_min(theta_prev: ScalarField, v_new, model: ModelSpec, nu: float
                 hess += 2.0 * nu * (mi.T @ (bwf[:, None] * mi))
         return val, grad, hess
 
-    x = t_avg.ravel().copy()
+    x = t0.ravel().copy()
     scale = max(1.0, linf)
     for mu in scale * np.float64([1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9]):
         for _ in range(60):
@@ -539,7 +514,7 @@ def oracle_theta_min(theta_prev: ScalarField, v_new, model: ModelSpec, nu: float
                 s *= 0.5
             x = x + s * d
 
-    cand = [t_avg, np.clip(x.reshape(grid.shape), -linf, linf), x.reshape(grid.shape)]
+    cand = [np.clip(x.reshape(grid.shape), -linf, linf), x.reshape(grid.shape)]
     objs = [_theta_objective(ScalarField(grid, c), theta_prev, v_new, model, nu, h) for c in cand]
     best = int(np.argmin(objs))
     return ScalarField(grid, cand[best].copy()), float(objs[best])

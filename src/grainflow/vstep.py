@@ -6,18 +6,19 @@ part, the functional
     (1/2h)|v - v_prev|^2 + V_D(v) + Gamma(v) + <grad_g(T v_dag; u), v>
     + sum(|grad theta_prev| alpha(v) + nu |grad theta_prev|^2 beta(v)) dx^d
 
-where the coupling argument ``v_dag`` is frozen and truncated onto [0,1]^2.
-The frozen argument is driven to its fixed point by a Banach outer loop,
-which is a contraction with ratio at most h*L for h below the admissible
-step (L is the C2 norm of g on the unit box).  The inner minimization is a
-proximal-gradient iteration: the quadratic, Dirichlet, frozen-coupling, and
-mobility terms are smooth; gamma enters through its pointwise prox.  The
-solver holds v as one ``(2,) + shape`` array (rows w and eta), so each step
-of the inner loop, the Laplacian included, is one call on both fields.  The
-inner loop writes every iteration into buffers allocated once per inner
-solve, and takes the mobility terms q1 grad(alpha) + q2 grad(beta) from
-``MobilitySpec.add_gradient_terms`` in place on the rows; only the prox
-allocates.
+where the coupling argument ``v_dag`` is frozen and truncated onto [0,1]^2;
+the step's answer is the fixed point v_dag = v.  One proximal-gradient body
+serves both refresh policies of :func:`v_step` (the quadratic, Dirichlet,
+coupling and mobility terms are smooth; gamma enters through its pointwise
+prox).  By default the coupling is refreshed when the inner loop has
+converged: the paper's Banach outer loop, a contraction with ratio at most
+h*L below the admissible step (L the C2 norm of g on the unit box), which the
+contraction and perturbation checks and ``probe-contraction`` measure.  With
+``fused=True``, which ``scheme.run`` uses, it is refreshed at every
+iteration: one forward-backward loop with the same fixed point, contracting
+with ratio at most rho* = 1 - tau (1/h - L).  v is one ``(2,) + shape``
+array (rows w and eta), so each step, the Laplacian included, is one call on
+both fields, written into buffers allocated once per solve.
 
 The iterate is deliberately not projected onto the box [o*, iota*] x [0, 1]:
 containment is a consequence of assumption (A4) and is verified a
@@ -56,7 +57,7 @@ class InnerNoConvergence(SolverError):
 class VStepParams:
     """Tolerances are absolute discrete-L2 values; when left None they are
     scaled at call time to 1e-10*sqrt(|Omega|) (outer) and 1e-12*sqrt(|Omega|)
-    (inner)."""
+    (inner).  The fused policy stops on inner_tol and max_inner alone."""
 
     h: float
     outer_tol: float = None
@@ -97,9 +98,17 @@ def _stack(v) -> np.ndarray:
     return np.stack((v[0].values, v[1].values))
 
 
+def _ratio_floor(inner_tol: float) -> float:
+    # successive differences this small are too near the stop rule's
+    # rounding to give a meaningful ratio
+    return max(1e5 * inner_tol, 1e-14)
+
+
 def v_step(v_prev, theta_prev: ScalarField, model: ModelSpec, nu: float,
-           params: VStepParams):
-    """Solve one v-step; returns ((w, eta) fields, VStepReport)."""
+           params: VStepParams, fused: bool = False):
+    """Solve one v-step; returns ((w, eta) fields, VStepReport).  With
+    ``fused`` the report's ``outer_iters`` counts coupling evaluations (equal
+    to ``inner_iters_total``) and its ratio is the single loop's."""
     grid = theta_prev.grid
     dx, vol = grid.dx, grid.cell_volume
     h = params.h
@@ -118,37 +127,38 @@ def v_step(v_prev, theta_prev: ScalarField, model: ModelSpec, nu: float,
     tau = 1.0 / lip
 
     stencil = Stencil(grid.shape, dx, fields=2)
+    loop_args = (q1, q2, model, h, tau, stencil, vol, inner_tol, params.max_inner)
 
-    ratio_floor = max(1e5 * inner_tol, 1e-14)
-    ratios = []
-    inner_total = 0
-    prev_diff = None
-
-    for k in range(params.max_outer):
-        # coupling frozen at the truncated current iterate
-        vc = np.clip(v, 0.0, 1.0)
-        g_frozen = np.stack(model.grad_g(vc[0], vc[1]))
-        v_old = v  # the inner loop does not write into its input
-        try:
-            v, inner_iters = _inner_prox_gradient(
-                v, v_prev, g_frozen, q1, q2, model, h, tau,
-                stencil, vol, inner_tol, params.max_inner,
-            )
-        except InnerNoConvergence as err:
-            raise InnerNoConvergence(f"outer iteration {k + 1}: {err}") from None
-        inner_total += inner_iters
-        diff = _pair_norm(v - v_old, vol)
-        if prev_diff is not None and prev_diff >= ratio_floor and diff > 0:
-            ratios.append(diff / prev_diff)
-        prev_diff = diff
-        if diff <= outer_tol:
-            break
+    if fused:
+        v, inner_total, ratio = _inner_prox_gradient(v, v_prev, None, *loop_args)
+        outer_iters = inner_total
     else:
-        raise OuterNoConvergence(
-            f"fixed-point loop did not reach {outer_tol:.2e} in "
-            f"{params.max_outer} iterations (last diff {diff:.2e}); "
-            f"h={h} may be too large for L={model.c2_norm}"
-        )
+        ratio_floor = _ratio_floor(inner_tol)
+        ratio = prev_diff = 0.0
+        inner_total = 0
+        for k in range(params.max_outer):
+            # coupling frozen at the truncated current iterate
+            vc = np.clip(v, 0.0, 1.0)
+            g_frozen = np.stack(model.grad_g(vc[0], vc[1]))
+            v_old = v  # the inner loop does not write into its input
+            try:
+                v, inner_iters, _ = _inner_prox_gradient(v, v_prev, g_frozen, *loop_args)
+            except InnerNoConvergence as err:
+                raise InnerNoConvergence(f"outer iteration {k + 1}: {err}") from None
+            inner_total += inner_iters
+            diff = _pair_norm(v - v_old, vol)
+            if prev_diff >= ratio_floor:
+                ratio = max(ratio, diff / prev_diff)
+            prev_diff = diff
+            if diff <= outer_tol:
+                break
+        else:
+            raise OuterNoConvergence(
+                f"fixed-point loop did not reach {outer_tol:.2e} in "
+                f"{params.max_outer} iterations (last diff {diff:.2e}); "
+                f"h={h} may be too large for L={model.c2_norm}"
+            )
+        outer_iters = k + 1
 
     w, e = v
     o, i = model.o_star, model.iota_star
@@ -161,8 +171,8 @@ def v_step(v_prev, theta_prev: ScalarField, model: ModelSpec, nu: float,
     )
 
     report = VStepReport(
-        outer_iters=k + 1,
-        final_contraction_ratio=max(ratios) if ratios else 0.0,
+        outer_iters=outer_iters,
+        final_contraction_ratio=ratio,
         inner_iters_total=inner_total,
         box_violation=box_violation,
     )
@@ -172,27 +182,40 @@ def v_step(v_prev, theta_prev: ScalarField, model: ModelSpec, nu: float,
 
 def _inner_prox_gradient(v, v_prev, g_frozen, q1, q2, model: ModelSpec, h, tau,
                          stencil, vol, inner_tol, max_inner):
-    """Proximal gradient on the strictly convex inner objective, on the
-    stacked pair v; gamma acts on w (row 0) only, so eta takes plain gradient
-    steps.  The iteration writes into buffers allocated once per call; only
-    the prox allocates its output."""
+    """Proximal gradient on the stacked pair v with the coupling frozen at
+    g_frozen, or, when g_frozen is None, refreshed at grad_g(clip(v, 0, 1))
+    in every iteration.  gamma acts on w (row 0) only, so eta takes plain
+    gradient steps.  Returns the iterate, the iteration count and the largest
+    ratio of successive differences.  The iteration writes into buffers
+    allocated once per call; only the prox and grad_g allocate."""
     inv_h = 1.0 / h
     mob = model.mobility
     g, lap, d = (np.empty(v.shape) for _ in range(3))
+    vc = np.empty(v.shape) if g_frozen is None else None
     tmp = np.empty(v.shape[1:])
     v, v_next = v.copy(), np.empty(v.shape)
+    ratio_floor = _ratio_floor(inner_tol)
+    ratio = prev_diff = 0.0
     for j in range(max_inner):
         np.subtract(v, v_prev, out=g)
         g *= inv_h
         g -= stencil.laplacian(v, lap)
-        g += g_frozen
+        if g_frozen is None:
+            gw, ge = model.grad_g(*np.clip(v, 0.0, 1.0, out=vc))
+            g[0] += gw
+            g[1] += ge
+        else:
+            g += g_frozen
         mob.add_gradient_terms(q1, q2, v[0], v[1], g[0], g[1], tmp)
         np.subtract(v, np.multiply(g, tau, out=v_next), out=v_next)
         v_next[0] = model.gamma_prox(tau, v_next[0])
         diff = _pair_norm(np.subtract(v_next, v, out=d), vol)
         v, v_next = v_next, v
+        if prev_diff >= ratio_floor:
+            ratio = max(ratio, diff / prev_diff)
+        prev_diff = diff
         if diff <= inner_tol:
-            return v, j + 1
+            return v, j + 1, ratio
     raise InnerNoConvergence(
         f"inner proximal gradient did not reach {inner_tol:.2e} in {max_inner} "
         f"iterations (last diff {diff:.2e})"

@@ -13,6 +13,7 @@ from grainflow.cli import (
     make_initial,
     parse_config,
 )
+from grainflow import h_star
 from grainflow.grid import GridSpec, load_field
 from grainflow.scheme import validate_initial
 
@@ -102,6 +103,17 @@ def test_config_rejects_bad_boolean(tmp_path):
     for token, want in (("Yes", True), ("off", False), ("0", False)):
         cfg = parse_config(write_cfg(tmp_path, text.replace("ture", token)))
         assert build_scheme_params(cfg, model_for("g1")).override_h_gate is want
+
+
+def test_h_gate_is_a_config_error_unless_overridden(tmp_path):
+    model = model_for("g1")
+    text = BASE.format(out=tmp_path / "o").replace("h_frac = 0.5", f"h = {h_star(model)!r}")
+    with pytest.raises(ConfigError, match=r"^scheme\.h: .* admissible step h\* = 0\.09865"):
+        build_scheme_params(parse_config(write_cfg(tmp_path, text)), model)  # h = h*
+    cfg = parse_config(write_cfg(tmp_path, text))
+    assert build_scheme_params(cfg, model, override_h_gate=True).override_h_gate
+    keyed = text.replace("n_steps = 4", "n_steps = 4\noverride_h_gate = yes")
+    assert build_scheme_params(parse_config(write_cfg(tmp_path, keyed)), model).override_h_gate
 
 
 def test_config_rejects_unknown_format(tmp_path):
@@ -212,7 +224,8 @@ def test_energy_log_records_solver_fields(tmp_path):
     fields = ("v_inner_iters", "duality_gap", "contraction_ratio")
     assert all(rows[0][f] == 0.0 for f in fields)
     for prev, row in zip(rows, rows[1:]):
-        assert row["v_inner_iters"] >= row["v_outer_iters"] >= 1
+        # the time loop refreshes the coupling at every v-step iteration
+        assert row["v_inner_iters"] == row["v_outer_iters"] >= 1
         # the time loop asks the theta-step for a gap within its dissipation budget
         assert -1e-12 <= row["duality_gap"] <= 1e-9 * (1.0 + abs(prev["total"]))
         assert 0.0 <= row["contraction_ratio"] < 1.0
@@ -329,6 +342,12 @@ def test_invalid_scheme_values_exit_2(tmp_path, old, new, message):
      "probe.n_probes: cannot parse '0' (must be at least 1)"),
     ("run --override-h-gate", "n_steps = 4", "n_steps = 4\noverride_h_gate = ture",
      "scheme.override_h_gate: cannot parse 'ture'"),
+    # h at or above h* without the override fails before any command writes
+    ("run", "h_frac = 0.5", "h = 5.0",
+     "scheme.h: 5.0 is not below the admissible step h* = 0.0986506"),
+    ("verify", "h_frac = 0.5", "h = 5.0", "scheme.h: 5.0 is not below"),
+    ("sweep-nu", "h_frac = 0.5", "h = 5.0", "scheme.h: 5.0 is not below"),
+    ("probe-contraction", "h_frac = 0.5", "h = 5.0", "scheme.h: 5.0 is not below"),
     # a key's own message is not prefixed again with its section
     ("run", "c = 1.0", "c = abc", "config error: model.c: cannot parse 'abc'"),
     ("run", "dx = 1.0", "dx = bad", "config error: grid.dx: cannot parse 'bad'"),

@@ -27,7 +27,9 @@ from grainflow import (
 )
 from grainflow.cli import (_initial_state, build_grid, build_model, build_scheme_params,
                            make_initial, parse_config)
+from grainflow import scheme
 from grainflow.verify import check_dissipation
+from grainflow.vstep import InnerNoConvergence, v_step
 from conftest import model_for
 
 
@@ -189,6 +191,31 @@ def test_step_errors_carry_index(g1_model):
     )
     with pytest.raises(ThetaNoConvergence, match="step 1"):
         run(init, g1_model, params)
+
+
+def test_fused_v_step_failure_names_the_step(g1_model):
+    grid = GridSpec(1, (16,), 1.0)
+    init = make_initial("random", grid, g1_model, seed=7)
+    h = 0.5 * h_star(g1_model)
+    params = SchemeParams(h=h, nu=0.1, n_steps=3, vstep=VStepParams(h=h, max_inner=3))
+    with pytest.raises(InnerNoConvergence, match=r"^step 1: inner proximal gradient .* in 3 "):
+        run(init, g1_model, params)
+
+
+def test_run_calls_the_fused_v_step_by_its_module_name(g1_model, monkeypatch):
+    # the traced benchmark times the v-step by replacing scheme.v_step
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return v_step(*args, **kwargs)
+
+    monkeypatch.setattr(scheme, "v_step", counted)
+    grid = GridSpec(1, (16,), 1.0)
+    params = SchemeParams(h=0.5 * h_star(g1_model), nu=0.1, n_steps=4)
+    traj = run(make_initial("random", grid, g1_model, seed=7), g1_model, params)
+    assert calls == [{"fused": True}] * 4
+    assert all(r.v_outer_iters == r.v_inner_iters >= 1 for r in traj.reports)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from grainflow.grid import dirichlet_energy
 from grainflow.model import gamma_eval
 from grainflow.verify import random_admissible_v, random_smooth_field
 from grainflow import vstep
-from grainflow.grid import Stencil
+from grainflow.grid import Stencil, grad_norm_arrays, grad_operator_norm_bound
 from grainflow.vstep import InnerNoConvergence, OuterNoConvergence
 
 from conftest import model_for
@@ -268,3 +268,53 @@ def test_inner_loop_matches_allocating_reference(setting, mobility, nu, shape, r
     theta = random_smooth_field(grid, rng, 0.8)
     v_step(v0, theta, model, nu, VStepParams(h=bench_h(model)))
     assert len(compared) == 2 and min(compared) >= 2
+
+
+def pair_distance(a, b, grid):
+    return np.sqrt(sum(float(np.sum((x.values - y.values) ** 2)) for x, y in zip(a, b))
+                   * grid.cell_volume)
+
+
+def rho_star(theta, model, nu, h, grid):
+    """1 - tau (1/h - L), with the step tau computed as v_step computes it."""
+    q1 = grad_norm_arrays(theta.values, grid.dx)
+    lip = 1.0 / h + grad_operator_norm_bound(grid)
+    lip += float(q1.max()) * model.mobility.alpha_curvature_bound
+    if nu != 0.0:
+        lip += float((nu * q1**2).max()) * model.mobility.beta_curvature_bound
+    return 1.0 - (1.0 / h - model.c2_norm) / lip
+
+
+@pytest.mark.parametrize("shape", [(64,), (16, 16)])
+@pytest.mark.parametrize("nu", [0.0, 0.1])
+@pytest.mark.parametrize("setting", ["g1", "g2", "g3"])
+def test_fused_loop_matches_picard(setting, nu, shape, rng):
+    # both policies stop at the same fixed point, the fused one contracting
+    # at its own rate rho*
+    model = model_for(setting)
+    grid = GridSpec(len(shape), shape, 1.0)
+    h = bench_h(model)
+    params = VStepParams(h=h)
+    v0 = random_admissible_v(grid, model, rng)
+    theta = random_smooth_field(grid, rng, 0.8)
+    picard, rp = v_step(v0, theta, model, nu, params)
+    fused, rf = v_step(v0, theta, model, nu, params, fused=True)
+    assert pair_distance(picard, fused, grid) <= 1e-9 * np.sqrt(grid.volume)
+    # one coupling evaluation per iteration, and far fewer iterations
+    assert rf.outer_iters == rf.inner_iters_total < rp.inner_iters_total
+    assert 0.0 < rf.final_contraction_ratio < rho_star(theta, model, nu, h, grid)
+    assert rf.box_violation <= 1e-9
+
+
+def test_fused_loop_never_returns_unconverged(g2_model, rng):
+    grid = GridSpec(1, (64,), 1.0)
+    v0 = random_admissible_v(grid, g2_model, rng)
+    theta = random_smooth_field(grid, rng, 0.8)
+    h = bench_h(g2_model)
+    _, rep = v_step(v0, theta, g2_model, 0.1, VStepParams(h=h), fused=True)
+    n = rep.inner_iters_total
+    _, exact = v_step(v0, theta, g2_model, 0.1, VStepParams(h=h, max_inner=n), fused=True)
+    assert exact == rep
+    where = rf"^inner proximal gradient did not reach .* in {n - 1} iterations"
+    with pytest.raises(InnerNoConvergence, match=where):
+        v_step(v0, theta, g2_model, 0.1, VStepParams(h=h, max_inner=n - 1), fused=True)
