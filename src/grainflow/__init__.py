@@ -18,9 +18,6 @@ from .grid import (
     grad_operator_norm_bound,
     gradient,
     neumann_laplacian,
-    truncate,
-    weighted_dirichlet_energy,
-    weighted_tv,
 )
 from .model import (
     MobilityKind,
@@ -46,6 +43,7 @@ from .scheme import (
     StepReport,
     Trajectory,
     h_star,
+    outside_hypotheses,
     run,
     time_interpolate,
     validate_initial,

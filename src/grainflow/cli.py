@@ -26,7 +26,7 @@ is flat sectioned key-value text::
     nu = 0.1
     n_steps = 100
     record_every = 10
-    # optional solver tolerances: outer_tol, inner_tol, gap_tol
+    # optional solver tolerances: inner_tol, gap_tol
 
     [init]
     kind = random           # wells | random | grains
@@ -67,7 +67,8 @@ import numpy as np
 from .energy import free_energy
 from .grid import GridSpec, PhaseState, ScalarField, save_field, save_field_raw
 from .model import MobilityKind, MobilitySpec, ModelSpec, Potential, PotentialSpec
-from .scheme import SchemeParams, StepReport, h_star, run as scheme_run, validate_initial
+from .scheme import (HGateError, SchemeParams, StepReport, h_star, outside_hypotheses,
+                     run as scheme_run, validate_initial)
 from .thetastep import ThetaStepParams
 from .verify import (
     check_box,
@@ -94,8 +95,8 @@ class ConfigError(ValueError):
 CONFIG_KEYS = {
     "model": {"potential", "c", "u", "o_star", "iota_star", "mobility", "kappa", "a0", "a", "b"},
     "grid": {"dim", "shape", "dx"},
-    "scheme": {"h", "h_frac", "nu", "n_steps", "record_every", "override_h_gate", "outer_tol",
-               "inner_tol", "gap_tol"},
+    "scheme": {"h", "h_frac", "nu", "n_steps", "record_every", "override_h_gate", "inner_tol",
+               "gap_tol"},
     "init": {"kind", "seed", "amplitude", "n_grains"},
     "output": {"directory", "formats"},
     "verify": {"n_oracle"}, "sweep": {"nus"}, "probe": {"n_probes"},
@@ -231,11 +232,10 @@ def build_scheme_params(cfg: RunConfig, model: ModelSpec, override_h_gate=False)
     frac = cfg.get("scheme", "h_frac", default=None, cast=float)
     if (h is None) == (frac is None):
         raise ConfigError("scheme: give exactly one of h / h_frac")
-    hs = h_star(model)
     if frac is not None:
         if not (0.0 < frac < 1.0):
             raise ConfigError(f"scheme.h_frac: must be in (0, 1), got {frac}")
-        h = frac * hs
+        h = frac * h_star(model)
     with _section("scheme"):
         params = SchemeParams(
             h=h,
@@ -244,15 +244,15 @@ def build_scheme_params(cfg: RunConfig, model: ModelSpec, override_h_gate=False)
             record_every=cfg.get("scheme", "record_every", default=1, cast=int),
             override_h_gate=(cfg.get("scheme", "override_h_gate", default=False, cast=bool)
                              or override_h_gate),
-            vstep=VStepParams(h=h,
-                              outer_tol=cfg.get("scheme", "outer_tol", default=None, cast=float),
-                              inner_tol=cfg.get("scheme", "inner_tol", default=None, cast=float)),
+            vstep=VStepParams(h=h, inner_tol=cfg.get("scheme", "inner_tol", default=None,
+                                                      cast=float)),
             thetastep=ThetaStepParams(
                 h=h, gap_tol=cfg.get("scheme", "gap_tol", default=1e-10, cast=float)),
         )
-    if h >= hs and not params.override_h_gate:
-        raise ConfigError(f"scheme.h: {h} is not below the admissible step h* = {hs:.6g}; "
-                          "set scheme.override_h_gate or pass --override-h-gate")
+    try:
+        outside_hypotheses(model, params)
+    except HGateError as err:
+        raise ConfigError(f"scheme.{err} (scheme.override_h_gate or --override-h-gate)") from None
     return params
 
 

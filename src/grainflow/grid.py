@@ -26,13 +26,9 @@ __all__ = [
     "gradient",
     "divergence",
     "neumann_laplacian",
-    "weighted_tv",
     "dirichlet_energy",
-    "weighted_dirichlet_energy",
-    "truncate",
     "grad_operator_norm_bound",
     "inner",
-    "norm_l2",
     "save_field",
     "load_field",
     "save_field_raw",
@@ -264,40 +260,11 @@ def inner(a, b) -> float:
     return s * a.grid.cell_volume
 
 
-def norm_l2(a) -> float:
-    return float(np.sqrt(max(inner(a, a), 0.0)))
-
-
-def weighted_tv(rho: ScalarField, f: ScalarField) -> float:
-    """Discrete total variation of f weighted by rho >= 0:
-    sum of rho * |grad f| * dx**dim with the isotropic (Euclidean) cell norm.
-    The weight is sampled at the same cell as the forward difference."""
-    if np.any(rho.values < 0):
-        raise ValueError("weighted_tv requires a nonnegative weight")
-    mag = grad_norm_arrays(f.values, f.grid.dx)
-    return float(np.sum(rho.values * mag)) * f.grid.cell_volume
-
-
 def dirichlet_energy(f: ScalarField) -> float:
     """(1/2) sum |grad f|^2 dx**dim."""
     comps = grad_arrays(f.values, f.grid.dx)
     s = sum(float(np.vdot(c, c)) for c in comps)
     return 0.5 * s * f.grid.cell_volume
-
-
-def weighted_dirichlet_energy(b: ScalarField, f: ScalarField) -> float:
-    """sum b |grad f|^2 dx**dim with cell weights b >= 0 (no 1/2 factor)."""
-    if np.any(b.values < 0):
-        raise ValueError("weighted_dirichlet_energy requires a nonnegative weight")
-    sq = sq_norm_arrays(grad_arrays(f.values, f.grid.dx))
-    return float(np.sum(b.values * sq)) * f.grid.cell_volume
-
-
-def truncate(f: ScalarField, a: float, b: float) -> ScalarField:
-    """Pointwise truncation a v (b ^ f) onto [a, b]."""
-    if a > b:
-        raise ValueError(f"truncate requires a <= b, got a={a}, b={b}")
-    return ScalarField(f.grid, np.clip(f.values, a, b))
 
 
 def grad_operator_norm_bound(grid: GridSpec) -> float:

@@ -8,7 +8,8 @@ minimization), recording the two dissipation amounts
 whose sum plus the new free energy must not exceed the previous free energy.
 The step size is gated by the admissible threshold h* = 0.9 / max(2, 4L)
 (L the C2 norm of g on the unit box); larger steps require an explicit
-override and mark the run as outside the well-posedness hypotheses.
+override.  :func:`outside_hypotheses` makes that decision and marks a run
+outside the well-posedness hypotheses.
 The v-step is ``v_step(..., fused=True)``: one proximal-gradient loop that
 refreshes the coupling at every iteration, with the fixed point of the
 paper's Banach map, which the verification path runs.
@@ -23,7 +24,7 @@ import numpy as np
 
 from .energy import free_energy
 from .grid import PhaseState, ScalarField
-from .model import CheckCondition, ModelSpec, ValidationReport, require_finite
+from .model import CheckCondition, ModelSpec, ValidationReport, check_a4, require_finite
 from .thetastep import ThetaStepParams, theta_step
 from .vstep import SolverError, VStepParams, v_step
 
@@ -34,6 +35,7 @@ __all__ = [
     "Trajectory",
     "Interpolant",
     "h_star",
+    "outside_hypotheses",
     "validate_initial",
     "run",
     "time_interpolate",
@@ -139,24 +141,29 @@ def validate_initial(state: PhaseState, model: ModelSpec) -> ValidationReport:
     return ValidationReport(tuple(conds))
 
 
+def outside_hypotheses(model: ModelSpec, params: SchemeParams) -> bool:
+    """Whether a run of params lies outside the well-posedness hypotheses:
+    h at or above h*, a zero mobility floor or a failing assumption (A4).
+    An h at or above h* without ``params.override_h_gate`` raises
+    :class:`HGateError`."""
+    hs = h_star(model)
+    if params.h >= hs and not params.override_h_gate:
+        raise HGateError(f"h: {params.h} is not below the admissible step h* = {hs:.6g}; "
+                         "set override_h_gate to run outside the theorem hypotheses")
+    return (params.h >= hs or model.mobility_floor(params.nu) <= 0.0
+            or not check_a4(model).passed)
+
+
 def run(init: PhaseState, model: ModelSpec, params: SchemeParams, sink=None) -> Trajectory:
     """Advance n_steps from the validated initial state; returns the trajectory
     with per-step reports and energy breakdowns (snapshots every record_every
-    steps, step 0 and the final step always included)."""
+    steps, step 0 and the final step always included).  A sink, if given,
+    receives ``sink.on_step(report, energy)`` after every step and
+    ``sink.on_snapshot(step, state)`` at every recorded step after 0."""
     report = validate_initial(init, model)
     if not report.passed:
         raise ValueError("initial data rejected:\n" + str(report))
-    hs = h_star(model)
-    outside = False
-    if params.h >= hs:
-        if not params.override_h_gate:
-            raise HGateError(
-                f"h = {params.h} is not below the admissible step h* = {hs:.6g}; "
-                "pass the override flag to run outside the theorem hypotheses"
-            )
-        outside = True
-    if model.mobility_floor(params.nu) <= 0.0:
-        outside = True
+    outside = outside_hypotheses(model, params)
 
     h, nu = params.h, params.nu
     vol = init.grid.cell_volume
@@ -208,12 +215,12 @@ def run(init: PhaseState, model: ModelSpec, params: SchemeParams, sink=None) -> 
         )
         energies.append(energy)
         reports.append(step_report)
-        if sink is not None and hasattr(sink, "on_step"):
+        if sink is not None:
             sink.on_step(step_report, energy)
         if i % params.record_every == 0 or i == params.n_steps:
             states.append(state.copy())
             state_steps.append(i)
-            if sink is not None and hasattr(sink, "on_snapshot"):
+            if sink is not None:
                 sink.on_snapshot(i, state)
 
     return Trajectory(

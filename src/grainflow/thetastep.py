@@ -371,11 +371,11 @@ def _dual_newton(loop: _PdhgLoop) -> int:
     step would move no edge beyond rounding, or when no damped step
     decreases Q any more.  The caller certifies the result.
     """
-    inv, t0, w = loop.st.inv, loop.t0, loop.h / loop.a0
+    st, t0, w = loop.st, loop.t0, loop.h / loop.a0
     q, aw = loop.p[0, :-1], loop.aw[:-1]
     nb = None if loop.nb is None else loop.nb[:-1]
-    diag0, off0 = (w[:-1] + w[1:]) * inv**2, -w[1:-1] * inv**2
-    problem = (w, t0, inv, aw, nb)
+    diag0, off0 = (w[:-1] + w[1:]) * st.inv**2, -w[1:-1] * st.inv**2
+    problem = (st, st.flux(), w, t0, aw, nb)
     still = _ROUNDING_MOVE * float(np.max(aw, initial=0.0))
 
     if nb is None:
@@ -383,7 +383,7 @@ def _dual_newton(loop: _PdhgLoop) -> int:
     val, y = _dual_value(q, *problem)
     prev = None
     for k in range(_NEWTON_CAP + 1):
-        g = -np.diff(t0 + w * y) * inv
+        g = -st.grad(t0 + w * y, loop.g)[0, :-1]
         if nb is None:
             act = np.where((q >= aw) & (g < 0), 1.0, np.where((q <= -aw) & (g > 0), -1.0, 0.0))
             free = act == 0
@@ -413,10 +413,12 @@ def _dual_newton(loop: _PdhgLoop) -> int:
         val, y = val1, y1
 
 
-def _dual_value(x, w, t0, inv, aw, nb):
+def _dual_value(x, st, buf, w, t0, aw, nb):
     """(Q(x), y) for the dual of :func:`_dual_newton` on the interior edges
-    x, with y = div x on the cells."""
-    y = np.diff(x, prepend=0.0, append=0.0) * inv
+    x, with y = div x on the cells; x is written into the flux buffer buf,
+    whose far-boundary entry stays 0."""
+    buf[0, st.lead:-1] = x
+    y = st.div(buf, np.empty(st.n))
     val = float(np.sum(y * (0.5 * w * y + t0)))
     if nb is not None:
         val += 0.5 * float(np.sum(np.maximum(np.abs(x) - aw, 0.0) ** 2 / nb))

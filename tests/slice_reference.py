@@ -1,4 +1,5 @@
-"""Slice-based forward-difference gradient, divergence and Laplacian.
+"""Slice-based forward-difference gradient, divergence, Laplacian and total
+variation.
 
 These are written per axis with plain slices and share no code with
 ``grainflow.grid.Stencil``, so the stencil tests, and the solver tests that
@@ -51,3 +52,9 @@ def div_slices(comps, dx: float) -> np.ndarray:
 
 def laplacian_slices(values: np.ndarray, dx: float) -> np.ndarray:
     return div_slices(grad_slices(values, dx), dx)
+
+
+def tv_slices(values: np.ndarray, dx: float) -> float:
+    """Isotropic total variation sum |grad f| dx**dim of :func:`grad_slices`."""
+    sq = sum(c**2 for c in grad_slices(values, dx))
+    return float(np.sum(np.sqrt(sq))) * dx**values.ndim

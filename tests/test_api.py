@@ -37,3 +37,13 @@ def test_package_imports_resolve():
                 assert hasattr(grainflow, alias.asname or alias.name)
                 imported += 1
     assert imported > 0
+
+
+def test_stencil_is_the_only_difference_operator():
+    # grid.Stencil takes every difference in the package
+    found = [f"{path.name}:{node.lineno} np.{node.attr}"
+             for path in sorted(Path(grainflow.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr in ("diff", "gradient")
+             and isinstance(node.value, ast.Name) and node.value.id == "np"]
+    assert found == []

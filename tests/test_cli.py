@@ -348,6 +348,8 @@ def test_invalid_scheme_values_exit_2(tmp_path, old, new, message):
     ("verify", "h_frac = 0.5", "h = 5.0", "scheme.h: 5.0 is not below"),
     ("sweep-nu", "h_frac = 0.5", "h = 5.0", "scheme.h: 5.0 is not below"),
     ("probe-contraction", "h_frac = 0.5", "h = 5.0", "scheme.h: 5.0 is not below"),
+    # outer_tol had no effect on any command and is no longer a key
+    ("run", "n_steps = 4", "n_steps = 4\nouter_tol = 1e-10", "unknown key scheme.outer_tol"),
     # a key's own message is not prefixed again with its section
     ("run", "c = 1.0", "c = abc", "config error: model.c: cannot parse 'abc'"),
     ("run", "dx = 1.0", "dx = bad", "config error: grid.dx: cannot parse 'bad'"),

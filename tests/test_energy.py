@@ -14,9 +14,10 @@ from grainflow import (
     ScalarField,
     free_energy,
     phi_nu,
-    weighted_tv,
 )
 from grainflow.verify import random_admissible_v, random_smooth_field
+
+from slice_reference import tv_slices
 
 
 def constant_state(grid, w, e, th):
@@ -75,10 +76,8 @@ def test_phi_nu_reduces_to_weighted_tv():
     rng = np.random.default_rng(0)
     theta = ScalarField(grid, rng.normal(size=8))
     v = (ScalarField(grid, np.full(8, 0.3)), ScalarField(grid, np.full(8, 0.7)))
-    ones = ScalarField(grid, np.ones(8))
-    assert phi_nu(v, theta, model, 0.0) == pytest.approx(
-        weighted_tv(ones, theta), rel=1e-14
-    )
+    tv = tv_slices(theta.values, grid.dx)
+    assert phi_nu(v, theta, model, 0.0) == pytest.approx(tv, rel=1e-14)
 
 
 def test_phi_nu_difference_identity(g1_model, rng):
@@ -150,9 +149,8 @@ def test_phi_nu_zero_weighted_tv_floor(rng):
         MobilitySpec(MobilityKind.KOBAYASHI, kappa=0.05),
     )
     grid = GridSpec(1, (32,), 1.0)
-    ones = ScalarField(grid, np.ones(32))
     d0 = model.mobility.delta0
     for _ in range(20):
         v = random_admissible_v(grid, model, rng)
         theta = random_smooth_field(grid, rng, 1.0)
-        assert phi_nu(v, theta, model, 0.0) >= d0 * weighted_tv(ones, theta) - 1e-12
+        assert phi_nu(v, theta, model, 0.0) >= d0 * tv_slices(theta.values, grid.dx) - 1e-12

@@ -4,6 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 from grainflow import (
     GridSpec,
+    MobilityKind,
+    MobilitySpec,
+    ModelSpec,
+    Potential,
+    PotentialSpec,
     ScalarField,
     VectorField,
     dirichlet_energy,
@@ -11,9 +16,7 @@ from grainflow import (
     grad_operator_norm_bound,
     gradient,
     neumann_laplacian,
-    truncate,
-    weighted_dirichlet_energy,
-    weighted_tv,
+    phi_nu,
 )
 from grainflow.grid import (
     Stencil,
@@ -23,12 +26,11 @@ from grainflow.grid import (
     inner,
     load_field,
     load_field_raw,
-    norm_l2,
     save_field,
     save_field_raw,
 )
 
-from slice_reference import div_slices, grad_slices, laplacian_slices
+from slice_reference import div_slices, grad_slices, laplacian_slices, tv_slices
 
 
 def sf(grid, values):
@@ -262,40 +264,46 @@ def test_stencil_adjointness(shape, rng):
 
 
 # ---------------------------------------------------------------------------
-# weighted TV
+# weighted TV: the lattice facts the theta-step relies on, checked on the
+# program's coupling energy phi_nu
 # ---------------------------------------------------------------------------
+
+# at kappa = 0 the Kobayashi weights are alpha = eta^2/2 and beta = w^2/2
+KOBAYASHI0 = ModelSpec(PotentialSpec(Potential.POLYNOMIAL),
+                       MobilitySpec(MobilityKind.KOBAYASHI, kappa=0.0))
+
+
+def wtv(rho, f):
+    """sum rho |grad f| dx^d as phi_nu at nu = 0, with eta = sqrt(2 rho)."""
+    eta = ScalarField(f.grid, np.sqrt(2.0 * np.asarray(rho, dtype=float)))
+    return phi_nu((ScalarField(f.grid, np.zeros(f.grid.shape)), eta), f, KOBAYASHI0, 0.0)
+
 
 def test_weighted_tv_examples():
     g = GridSpec(1, (4,), 1.0)
     f = sf(g, [0.0, 1.0, 1.0, 0.0])
-    assert weighted_tv(sf(g, np.ones(4)), f) == pytest.approx(2.0)
+    assert wtv(np.ones(4), f) == pytest.approx(2.0)
+    assert tv_slices(f.values, g.dx) == 2.0
     # weight sampled at the jump's left cell
-    assert weighted_tv(sf(g, [2.0, 2.0, 3.0, 3.0]), f) == pytest.approx(5.0)
-    assert weighted_tv(sf(g, np.ones(4)), sf(g, np.full(4, 9.9))) == 0.0
-
-
-def test_weighted_tv_rejects_negative_weight():
-    g = GridSpec(1, (4,), 1.0)
-    with pytest.raises(ValueError):
-        weighted_tv(sf(g, [1.0, -0.1, 1.0, 1.0]), sf(g, np.zeros(4)))
+    assert wtv([2.0, 3.0, 5.0, 7.0], f) == pytest.approx(7.0)  # not 3 + 7
+    assert wtv(np.ones(4), sf(g, np.full(4, 9.9))) == 0.0
 
 
 def test_weighted_tv_lower_bound_and_linearity(rng):
     g = GridSpec(2, (8, 8), 0.5)
     for _ in range(25):
         f = ScalarField(g, rng.normal(size=(8, 8)))
-        rho = ScalarField(g, 0.2 + rng.uniform(0.0, 2.0, size=(8, 8)))
-        c_rho = float(rho.values.min())
-        assert weighted_tv(rho, f) >= c_rho * weighted_tv(
-            ScalarField(g, np.ones((8, 8))), f
-        ) - 1e-12
-        # homogeneity in f, linearity in rho
+        rho = 0.2 + rng.uniform(0.0, 2.0, size=(8, 8))
+        tv = tv_slices(f.values, g.dx)
+        assert wtv(rho, f) >= float(rho.min()) * tv - 1e-12
+        assert wtv(np.ones((8, 8)), f) == pytest.approx(tv, rel=1e-14)
+        # positive homogeneity in f, linearity in rho
         s = float(rng.uniform(0.1, 3.0))
         scaled = ScalarField(g, s * f.values)
-        assert weighted_tv(rho, scaled) == pytest.approx(s * weighted_tv(rho, f), rel=1e-12)
-        rho2 = ScalarField(g, rng.uniform(0.0, 1.0, size=(8, 8)))
-        lhs = weighted_tv(ScalarField(g, rho.values + 2.0 * rho2.values), f)
-        rhs = weighted_tv(rho, f) + 2.0 * weighted_tv(rho2, f)
+        assert wtv(rho, scaled) == pytest.approx(s * wtv(rho, f), rel=1e-12)
+        rho2 = rng.uniform(0.0, 1.0, size=(8, 8))
+        lhs = wtv(rho + 2.0 * rho2, f)
+        rhs = wtv(rho, f) + 2.0 * wtv(rho2, f)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -310,11 +318,11 @@ def test_weighted_tv_submodular_in_1d(n, data):
     g = GridSpec(1, (n,), 1.0)
     f = random_field(g, data)
     k = random_field(g, data)
-    rho = ScalarField(g, np.abs(random_field(g, data).values))
+    rho = np.abs(random_field(g, data).values)
     lo = ScalarField(g, np.minimum(f.values, k.values))
     hi = ScalarField(g, np.maximum(f.values, k.values))
-    lhs = weighted_tv(rho, lo) + weighted_tv(rho, hi)
-    rhs = weighted_tv(rho, f) + weighted_tv(rho, k)
+    lhs = wtv(rho, lo) + wtv(rho, hi)
+    rhs = wtv(rho, f) + wtv(rho, k)
     assert lhs <= rhs + 1e-10 * (1.0 + rhs)
 
 
@@ -324,29 +332,41 @@ def test_weighted_tv_submodularity_fails_for_isotropic_2d():
     # violates the inequality by > 1; order-preservation checks therefore
     # probe separated pairs (see the theta-step tests).
     g = GridSpec(2, (3, 3), 1.0)
-    one = ScalarField(g, np.ones((3, 3)))
+    one = np.ones((3, 3))
     u = ScalarField(g, np.array([[3.0, -1.0, -3.0], [0.0, 2.0, 0.0], [-3.0, 1.0, 0.0]]))
     v = ScalarField(g, np.array([[2.0, -1.0, -1.0], [-2.0, -1.0, 0.0], [-2.0, 1.0, 2.0]]))
     lo = ScalarField(g, np.minimum(u.values, v.values))
     hi = ScalarField(g, np.maximum(u.values, v.values))
-    lhs = weighted_tv(one, lo) + weighted_tv(one, hi)
-    rhs = weighted_tv(one, u) + weighted_tv(one, v)
+    lhs = wtv(one, lo) + wtv(one, hi)
+    rhs = wtv(one, u) + wtv(one, v)
     assert lhs > rhs + 1.0
 
 
 def test_truncation_never_increases_weighted_tv(rng):
     # the one-sided lattice fact the maximum principle rests on
     g = GridSpec(2, (8, 8), 1.0)
-    one = ScalarField(g, np.ones((8, 8)))
     for _ in range(50):
         f = ScalarField(g, rng.normal(size=(8, 8)))
+        rho = rng.uniform(0.0, 2.0, size=(8, 8))
         a = float(rng.uniform(-1.0, 0.0))
         b = float(rng.uniform(0.0, 1.0))
-        assert weighted_tv(one, truncate(f, a, b)) <= weighted_tv(one, f) + 1e-12
+        assert wtv(rho, ScalarField(g, np.clip(f.values, a, b))) <= wtv(rho, f) + 1e-12
+
+
+def test_weighted_dirichlet_energy(rng):
+    # phi_nu's nu-term is nu sum beta |grad f|^2 dx^d, beta sampled at the
+    # difference's left cell; eta = 0 switches the TV term off
+    g = GridSpec(1, (8,), 0.5)
+    f = ScalarField(g, rng.normal(size=8))
+    b = rng.uniform(0.0, 2.0, size=8)
+    v = (ScalarField(g, np.sqrt(2.0 * b)), ScalarField(g, np.zeros(8)))
+    expected = 0.3 * float(np.sum(b * grad_slices(f.values, g.dx)[0] ** 2)) * g.cell_volume
+    assert phi_nu(v, f, KOBAYASHI0, 0.3) == pytest.approx(expected, rel=1e-13)
+    assert phi_nu(v, f, KOBAYASHI0, 0.0) == 0.0
 
 
 # ---------------------------------------------------------------------------
-# Dirichlet energies, truncation, operator norm
+# Dirichlet energy, operator norm
 # ---------------------------------------------------------------------------
 
 def test_dirichlet_energy_examples(rng):
@@ -359,37 +379,6 @@ def test_dirichlet_energy_examples(rng):
     assert dirichlet_energy(f) == pytest.approx(0.5 * inner(gr, gr), rel=1e-14)
 
 
-def test_weighted_dirichlet_energy(rng):
-    g = GridSpec(1, (8,), 1.0)
-    f = ScalarField(g, rng.normal(size=8))
-    b = ScalarField(g, rng.uniform(0.0, 2.0, size=8))
-    comps = gradient(f).comps[0]
-    expected = float(np.sum(b.values * comps**2))
-    assert weighted_dirichlet_energy(b, f) == pytest.approx(expected, rel=1e-13)
-    with pytest.raises(ValueError):
-        weighted_dirichlet_energy(ScalarField(g, -np.ones(8)), f)
-
-
-def test_truncate_examples():
-    g = GridSpec(1, (2,), 1.0)
-    f = sf(g, [-1.0, 2.0])
-    out = truncate(f, 0.0, 1.0)
-    assert np.array_equal(out.values, [0.0, 1.0])
-    inside = sf(g, [0.2, 0.8])
-    assert np.array_equal(truncate(inside, 0.0, 1.0).values, inside.values)
-    with pytest.raises(ValueError):
-        truncate(f, 1.0, 0.0)
-
-
-@settings(max_examples=60, deadline=None)
-@given(grid=small_grids, a=st.floats(-2.0, 0.5), b=st.floats(0.5, 2.0), data=st.data())
-def test_truncate_idempotent(grid, a, b, data):
-    f = random_field(grid, data)
-    once = truncate(f, a, b)
-    twice = truncate(once, a, b)
-    assert np.array_equal(once.values, twice.values)
-
-
 def power_iteration_norm2(grid, iters=400, seed=7):
     rng = np.random.default_rng(seed)
     x = ScalarField(grid, rng.normal(size=grid.shape))
@@ -397,7 +386,7 @@ def power_iteration_norm2(grid, iters=400, seed=7):
     for _ in range(iters):
         y = divergence(gradient(x))  # -G^T G up to sign
         lam = abs(inner(x, y)) / inner(x, x)
-        nrm = norm_l2(ScalarField(grid, y.values))
+        nrm = np.sqrt(inner(y, y))
         x = ScalarField(grid, y.values / max(nrm, 1e-300))
     return lam
 

@@ -130,6 +130,17 @@ def test_unsafeguarded_mobility_flagged():
     assert traj.outside_hypotheses
 
 
+def test_a4_failure_flagged():
+    # g2 (o* > 0) with Kobayashi mobilities breaks the corner sign table of
+    # (A4); g1 with the same mobilities satisfies it
+    grid = GridSpec(1, (12,), 1.0)
+    for setting, flagged in (("g2", True), ("g1", False)):
+        model = model_for(setting, "kobayashi")
+        init = make_initial("random", grid, model, seed=0)
+        traj = run(init, model, SchemeParams(h=0.5 * h_star(model), nu=0.1, n_steps=1))
+        assert traj.outside_hypotheses is flagged
+
+
 def test_benchmark_run_invariants(g1_model):
     from grainflow.verify import (
         check_box,
