@@ -8,17 +8,7 @@ paper's Banach map, an outer loop around that inner loop.
 """
 
 from .energy import EnergyBreakdown, free_energy, phi_nu
-from .grid import (
-    GridSpec,
-    PhaseState,
-    ScalarField,
-    VectorField,
-    dirichlet_energy,
-    divergence,
-    grad_operator_norm_bound,
-    gradient,
-    neumann_laplacian,
-)
+from .grid import GridSpec, PhaseState, ScalarField, dirichlet_energy, grad_operator_norm_bound
 from .model import (
     MobilityKind,
     MobilitySpec,

@@ -1,13 +1,14 @@
 """Rectangular-grid discrete calculus with zero-Neumann boundary semantics.
 
-Fields live on a uniform grid (1D or 2D, spacing ``dx``).  The gradient is
-the forward difference with a zero ghost gradient on the far boundary; the
-divergence is defined as the exact negative adjoint of the gradient, so the
-discrete integration-by-parts identity
+Fields live on a uniform grid (1D or 2D, spacing ``dx``).  The gradient
+:meth:`Stencil.grad` is the forward difference with a zero ghost gradient on
+the far boundary; the divergence :meth:`Stencil.div` is defined as its exact
+negative adjoint, so the discrete integration-by-parts identity
 
-    <gradient(f), p> = -<f, divergence(p)>
+    sum(grad(f) * p) = -sum(f * div(p))
 
-holds to machine precision.  All integrals are cell sums times ``dx**dim``.
+holds to machine precision for every flux p that is 0 on the far boundary.
+All integrals are cell sums times ``dx**dim``.
 """
 
 from __future__ import annotations
@@ -21,18 +22,11 @@ import numpy as np
 __all__ = [
     "GridSpec",
     "ScalarField",
-    "VectorField",
     "PhaseState",
-    "gradient",
-    "divergence",
-    "neumann_laplacian",
     "dirichlet_energy",
     "grad_operator_norm_bound",
-    "inner",
     "save_field",
-    "load_field",
     "save_field_raw",
-    "load_field_raw",
     "Stencil",
 ]
 
@@ -86,20 +80,6 @@ class ScalarField:
 
 
 @dataclass
-class VectorField:
-    """One array per axis, each with the grid's shape."""
-
-    grid: GridSpec
-    comps: tuple
-
-    def __post_init__(self):
-        comps = tuple(np.asarray(c, dtype=float).reshape(self.grid.shape) for c in self.comps)
-        if len(comps) != self.grid.dim:
-            raise ValueError("component count must equal grid dim")
-        self.comps = comps
-
-
-@dataclass
 class PhaseState:
     """The per-step unknown triplet: solidification w, orientation order eta,
     orientation angle theta, all on one grid."""
@@ -136,16 +116,6 @@ def grad_arrays(values: np.ndarray, dx: float):
     return list(out.reshape((st.dim,) + values.shape))
 
 
-def div_arrays(comps, dx: float) -> np.ndarray:
-    """Negative adjoint of :func:`grad_arrays` (backward difference with
-    boundary folding; the last slice of each component is ignored)."""
-    shape = np.shape(comps[0])
-    st = _stencil(shape, dx)
-    buf = st.flux()
-    np.multiply(np.reshape(comps, (st.dim, st.n)), st.mask, out=buf[:, st.lead:])
-    return st.div(buf, np.empty(st.n)).reshape(shape)
-
-
 def sq_norm_arrays(comps) -> np.ndarray:
     """Cellwise squared Euclidean norm of a vector field's components."""
     sq = comps[0] ** 2
@@ -165,8 +135,7 @@ def grad_norm_arrays(values: np.ndarray, dx: float) -> np.ndarray:
 class Stencil:
     """The package's one discrete gradient and divergence (its negative
     adjoint), on flat C-order fields of n cells, with buffers for the solver
-    loops; :func:`grad_arrays`, :func:`div_arrays` and
-    :func:`neumann_laplacian` run on a cached instance.  The difference
+    loops; :func:`grad_arrays` runs on a cached instance.  The difference
     along axis k is one subtract at flat stride ``steps[k]``; ``mask`` zeroes
     each component's far boundary (``scale`` is mask/dx).  A flux lives in a
     ``(dim, lead + n)`` buffer from :meth:`flux`, its field in
@@ -226,40 +195,6 @@ class Stencil:
         return out
 
 
-# ---------------------------------------------------------------------------
-# field-level operations
-# ---------------------------------------------------------------------------
-
-def gradient(f: ScalarField) -> VectorField:
-    """Forward-difference gradient with homogeneous-Neumann ghost at the far
-    boundary (zero last slice per axis)."""
-    return VectorField(f.grid, tuple(grad_arrays(f.values, f.grid.dx)))
-
-
-def divergence(p: VectorField) -> ScalarField:
-    """The unique linear operator with <gradient f, p> = -<f, divergence p>."""
-    return ScalarField(p.grid, div_arrays(p.comps, p.grid.dx))
-
-
-def neumann_laplacian(f: ScalarField) -> ScalarField:
-    """divergence(gradient(f)): symmetric, negative semidefinite, kills constants."""
-    st = _stencil(f.grid.shape, f.grid.dx)
-    return ScalarField(f.grid, st.laplacian(f.values, np.empty(f.grid.shape)))
-
-
-def inner(a, b) -> float:
-    """Discrete L2 inner product (cell sum times dx**dim).
-
-    Accepts ScalarField/ScalarField or VectorField/VectorField.
-    """
-    if isinstance(a, ScalarField):
-        return float(np.vdot(a.values, b.values)) * a.grid.cell_volume
-    s = 0.0
-    for ca, cb in zip(a.comps, b.comps):
-        s += float(np.vdot(ca, cb))
-    return s * a.grid.cell_volume
-
-
 def dirichlet_energy(f: ScalarField) -> float:
     """(1/2) sum |grad f|^2 dx**dim."""
     comps = grad_arrays(f.values, f.grid.dx)
@@ -300,47 +235,3 @@ def save_field_raw(path, f: ScalarField, extra_meta_lines=()):
     meta.extend(extra_meta_lines)
     with open(f"{path}.meta", "w") as fh:
         fh.write("\n".join(meta) + "\n")
-
-
-def load_field_raw(path) -> ScalarField:
-    meta = {}
-    with open(f"{path}.meta") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith(("#", "[")):
-                continue
-            key, _, value = line.partition("=")
-            meta[key.strip()] = value.strip()
-    grid = GridSpec(int(meta["dim"]), tuple(int(t) for t in meta["shape"].split("x")),
-                    float(meta["dx"]))
-    arr = np.fromfile(path, dtype="<f8")
-    if arr.size != grid.n_cells:
-        raise ValueError(f"{path}: expected {grid.n_cells} values, found {arr.size}")
-    return ScalarField(grid, arr.reshape(grid.shape))
-
-
-def load_field(path) -> ScalarField:
-    with open(path) as fh:
-        raw = fh.read().splitlines()
-    header = None
-    values = []
-    for line in raw:
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if line.startswith("# grid "):
-                header = line
-            continue
-        values.append(float(line))
-    if header is None:
-        raise ValueError(f"{path}: missing grid header line")
-    tokens = dict(tok.split("=", 1) for tok in header[len("# grid ") :].split())
-    dim = int(tokens["dim"])
-    shape = tuple(int(t) for t in tokens["shape"].split("x"))
-    dx = float(tokens["dx"])
-    grid = GridSpec(dim, shape, dx)
-    arr = np.asarray(values, dtype=float)
-    if arr.size != grid.n_cells:
-        raise ValueError(f"{path}: expected {grid.n_cells} values, found {arr.size}")
-    return ScalarField(grid, arr.reshape(shape))

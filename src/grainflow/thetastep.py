@@ -46,7 +46,7 @@ import numpy as np
 
 from .energy import phi_nu
 from .grid import ScalarField, Stencil, grad_arrays, grad_operator_norm_bound
-from .model import ModelSpec, SolverError
+from .model import ModelSpec, SolverError, require_finite
 
 __all__ = [
     "ThetaNoConvergence",
@@ -74,6 +74,7 @@ class ThetaStepParams:
     check_every: int = 125
 
     def __post_init__(self):
+        require_finite(self, "h", "gap_tol")
         if not self.h > 0:
             raise ValueError("time step h must be positive")
         if not self.gap_tol > 0:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridSpec, ScalarField, Stencil, grad_norm_arrays, grad_operator_norm_bound
-from .model import ModelSpec, SolverError
+from .model import ModelSpec, SolverError, require_finite
 
 __all__ = [
     "SolverError",
@@ -55,9 +55,10 @@ class InnerNoConvergence(SolverError):
 
 @dataclass
 class VStepParams:
-    """Tolerances are absolute discrete-L2 values; when left None they are
-    scaled at call time to 1e-10*sqrt(|Omega|) (outer) and 1e-12*sqrt(|Omega|)
-    (inner).  The fused policy stops on inner_tol and max_inner alone."""
+    """Tolerances are finite, positive, absolute discrete-L2 values; when left
+    None they are scaled at call time to 1e-10*sqrt(|Omega|) (outer) and
+    1e-12*sqrt(|Omega|) (inner).  The fused policy stops on inner_tol and
+    max_inner alone."""
 
     h: float
     outer_tol: float = None
@@ -66,6 +67,8 @@ class VStepParams:
     max_inner: int = 100_000
 
     def __post_init__(self):
+        require_finite(self, "h", *(name for name in ("outer_tol", "inner_tol")
+                                    if getattr(self, name) is not None))
         if not self.h > 0:
             raise ValueError("time step h must be positive")
         for tol in (self.outer_tol, self.inner_tol):

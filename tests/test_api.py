@@ -47,3 +47,25 @@ def test_stencil_is_the_only_difference_operator():
              if isinstance(node, ast.Attribute) and node.attr in ("diff", "gradient")
              and isinstance(node.value, ast.Name) and node.value.id == "np"]
     assert found == []
+
+
+def test_grid_exports_have_program_callers():
+    # every name grid.py exports is used by the program itself, by another
+    # module of the package or by the benchmark, and not only by tests.  A
+    # use is an imported name read in code, or an attribute read; an import
+    # alone (a re-export in __init__.py), a docstring or a comment is none.
+    from grainflow import grid
+
+    package = Path(grainflow.__file__).parent
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    paths = [p for p in package.glob("*.py") if p.name != "grid.py"]
+    paths += sorted(perfbench.rglob("*.py"))
+    assert any(p.is_relative_to(perfbench) for p in paths)
+    used = set()
+    for path in paths:
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        imported = {a.asname or a.name for n in nodes if isinstance(n, ast.ImportFrom)
+                    for a in n.names}
+        used |= {n.id for n in nodes if isinstance(n, ast.Name) and n.id in imported}
+        used |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+    assert sorted(set(grid.__all__) - used) == []

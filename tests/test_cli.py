@@ -14,7 +14,7 @@ from grainflow.cli import (
     parse_config,
 )
 from grainflow import h_star
-from grainflow.grid import GridSpec, load_field
+from grainflow.grid import GridSpec
 from grainflow.scheme import validate_initial
 
 from conftest import model_for
@@ -241,11 +241,20 @@ def test_run_command_deterministic(tmp_path):
 
 
 def test_snapshot_round_trip_from_cli(tmp_path):
-    cfg_path = write_cfg(tmp_path, BASE.format(out=tmp_path / "out"))
-    main(["run", "--config", cfg_path])
-    f = load_field(tmp_path / "out" / "step_000004_w.csv")
-    assert f.grid.shape == (24,)
-    assert np.all(np.isfinite(f.values))
+    text = BASE.format(out=tmp_path / "out") + "formats = csv,raw\n"
+    cfg_path = write_cfg(tmp_path, text)
+    assert main(["run", "--config", cfg_path]) == 0
+    base = tmp_path / "out" / "step_000004_w"
+    digest = parse_config(cfg_path).digest
+    header = base.with_suffix(".csv").read_text().splitlines()[:2]
+    assert header == ["# grid dim=1 shape=24 dx=1.0", f"# config {digest} seed 77 step 4"]
+    meta = base.with_suffix(".raw.meta").read_text().splitlines()
+    assert meta == ["[field]", "dim = 1", "shape = 24", "dx = 1.0",
+                    f"config = {digest}", "seed = 77", "step = 4"]
+    values = np.loadtxt(base.with_suffix(".csv"), comments="#")
+    assert values.shape == (24,) and np.all(np.isfinite(values))
+    # the text and the raw snapshot hold the same float64 values, bit for bit
+    assert np.array_equal(values, np.fromfile(base.with_suffix(".raw"), "<f8"))
 
 
 def test_seed_override_changes_output(tmp_path):
@@ -305,6 +314,12 @@ def test_config_error_exit_code(tmp_path):
     ("nu = 0.1", "nu = -1", "^scheme section: nu must be nonnegative"),
     ("n_steps = 4", "n_steps = 0", "^scheme section: n_steps must be >= 1"),
     ("n_steps = 4", "n_steps = 4\ngap_tol = 0", "^scheme section: gap_tol must be positive"),
+    ("n_steps = 4", "n_steps = 4\ngap_tol = inf",
+     "^scheme section: gap_tol must be finite, got inf$"),
+    ("n_steps = 4", "n_steps = 4\ninner_tol = inf",
+     "^scheme section: inner_tol must be finite, got inf$"),
+    ("n_steps = 4", "n_steps = 4\ninner_tol = nan",
+     "^scheme section: inner_tol must be finite, got nan$"),
     ("nu = 0.1", "nu = x1", r"^scheme\.nu: cannot parse 'x1'"),  # passes through unchanged
 ])
 def test_invalid_scheme_values_exit_2(tmp_path, old, new, message):

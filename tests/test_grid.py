@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from grainflow import (
     GridSpec,
@@ -10,24 +11,18 @@ from grainflow import (
     Potential,
     PotentialSpec,
     ScalarField,
-    VectorField,
     dirichlet_energy,
-    divergence,
     grad_operator_norm_bound,
-    gradient,
-    neumann_laplacian,
     phi_nu,
 )
 from grainflow.grid import (
     Stencil,
     _stencil,
-    div_arrays,
     grad_arrays,
-    inner,
-    load_field,
-    load_field_raw,
+    grad_norm_arrays,
     save_field,
     save_field_raw,
+    sq_norm_arrays,
 )
 
 from slice_reference import div_slices, grad_slices, laplacian_slices, tv_slices
@@ -50,42 +45,38 @@ def random_field(grid, data):
     return ScalarField(grid, vals.reshape(grid.shape))
 
 
+STENCIL_SHAPES = [(2,), (64,), (2, 3), (5, 7), (32, 32)]
+
+
 # ---------------------------------------------------------------------------
-# gradient / divergence / laplacian
+# gradient / divergence / laplacian of Stencil
 # ---------------------------------------------------------------------------
 
 def test_gradient_1d_example():
-    g = GridSpec(1, (3,), 1.0)
-    out = gradient(sf(g, [0.0, 1.0, 1.0]))
-    assert np.array_equal(out.comps[0], [1.0, 0.0, 0.0])
+    out = Stencil((3,), 1.0).grad(np.array([0.0, 1.0, 1.0]), np.zeros((1, 3)))
+    assert np.array_equal(out, [[1.0, 0.0, 0.0]])
 
 
 def test_gradient_constant_is_zero():
-    g = GridSpec(2, (5, 4), 0.25)
-    out = gradient(sf(g, np.full((5, 4), 3.7)))
-    assert all(np.all(c == 0.0) for c in out.comps)
+    out = Stencil((5, 4), 0.25).grad(np.full(20, 3.7), np.zeros((2, 20)))
+    assert np.all(out == 0.0)
 
 
 def test_gradient_2d_linear_profile():
-    g = GridSpec(2, (4, 4), 1.0)
     x = np.arange(4.0)[:, None] * np.ones((1, 4))
-    out = gradient(ScalarField(g, x))
+    out = Stencil((4, 4), 1.0).grad(x.ravel(), np.zeros((2, 16))).reshape(2, 4, 4)
     expected_x = np.ones((4, 4))
     expected_x[-1, :] = 0.0
-    assert np.array_equal(out.comps[0], expected_x)
-    assert np.array_equal(out.comps[1], np.zeros((4, 4)))
+    assert np.array_equal(out[0], expected_x)
+    assert np.array_equal(out[1], np.zeros((4, 4)))
 
 
 def dense_gradient_matrix(grid):
     """Columns of the gradient operator, for the adjointness oracle."""
-    n = grid.n_cells
-    cols = []
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        out = gradient(ScalarField(grid, e.reshape(grid.shape)))
-        cols.append(np.concatenate([c.ravel() for c in out.comps]))
-    return np.array(cols).T
+    stencil = Stencil(grid.shape, grid.dx)
+    eye = np.eye(grid.n_cells)
+    return np.array([stencil.grad(e, np.zeros((grid.dim, grid.n_cells))).ravel()
+                     for e in eye]).T
 
 
 def test_divergence_is_negative_adjoint_dense_oracle():
@@ -93,60 +84,79 @@ def test_divergence_is_negative_adjoint_dense_oracle():
     G = dense_gradient_matrix(g)
     p = np.array([1.0, 0.0, 0.0])
     oracle = -(G.T @ p)
-    out = divergence(VectorField(g, (p,)))
-    assert np.allclose(out.values, oracle, atol=1e-15)
-    assert np.array_equal(out.values, [1.0, -1.0, 0.0])
+    stencil = Stencil(g.shape, g.dx)
+    buf = stencil.flux()
+    buf[0, stencil.lead:] = p
+    out = stencil.div(buf, np.empty(3))
+    assert np.allclose(out, oracle, atol=1e-15)
+    assert np.array_equal(out, [1.0, -1.0, 0.0])
 
 
 def test_divergence_zero_field():
-    g = GridSpec(2, (4, 5), 1.0)
-    out = divergence(VectorField(g, (np.zeros((4, 5)), np.zeros((4, 5)))))
-    assert np.all(out.values == 0.0)
+    stencil = Stencil((4, 5), 1.0)
+    assert np.all(stencil.div(stencil.flux(), np.empty(20)) == 0.0)
+
+
+def grid_with_fields(grid):
+    """grid with a field f and the components of a flux p, each value drawn
+    on its own from [-3, 3]."""
+    values = arrays(float, (1 + grid.dim, grid.n_cells), elements=st.floats(-3.0, 3.0),
+                    fill=st.nothing())
+    return values.map(lambda a: (grid, a[0], a[1:]))
+
+
+def seeded_case(shape, dx=0.3):
+    grid = GridSpec(len(shape), shape, dx)
+    a = np.random.default_rng(grid.n_cells).normal(size=(1 + grid.dim, grid.n_cells))
+    return grid, a[0], a[1:]
+
+
+def with_stencil_shapes(test):
+    """Adds the STENCIL_SHAPES at dx 0.3, with normal data, as explicit examples."""
+    for shape in STENCIL_SHAPES:
+        test = example(case=seeded_case(shape))(test)
+    return test
 
 
 @settings(max_examples=120, deadline=None)
-@given(grid=small_grids, data=st.data())
-def test_adjointness_property(grid, data):
-    f = random_field(grid, data)
-    comps = tuple(
-        np.array([data.draw(st.floats(-3.0, 3.0)) for _ in range(grid.n_cells)]
-                 ).reshape(grid.shape)
-        for _ in range(grid.dim)
-    )
-    p = VectorField(grid, comps)
-    lhs = inner(gradient(f), p)
-    rhs = -inner(f, divergence(p))
+@given(case=small_grids.flatmap(grid_with_fields))
+@with_stencil_shapes
+def test_adjointness_property(case):
+    # sum(grad f * p) = -sum(f * div p) for p zero on the far boundary
+    grid, f, comps = case
+    stencil = Stencil(grid.shape, grid.dx)
+    buf = stencil.flux()
+    buf[:, stencil.lead:] = comps * stencil.mask
+    lhs = float(np.vdot(stencil.grad(f, np.zeros(comps.shape)), buf[:, stencil.lead:]))
+    rhs = -float(np.vdot(f, stencil.div(buf, np.empty(grid.n_cells))))
     assert abs(lhs - rhs) <= 1e-13 * (1.0 + abs(lhs))
 
 
 def test_laplacian_1d_example():
-    g = GridSpec(1, (3,), 1.0)
-    out = neumann_laplacian(sf(g, [0.0, 1.0, 0.0]))
-    assert np.array_equal(out.values, [1.0, -2.0, 1.0])
+    out = Stencil((3,), 1.0).laplacian(np.array([0.0, 1.0, 0.0]), np.empty(3))
+    assert np.array_equal(out, [1.0, -2.0, 1.0])
 
 
 def test_laplacian_kills_constants():
-    g = GridSpec(2, (6, 6), 0.5)
-    out = neumann_laplacian(sf(g, np.full((6, 6), -2.2)))
-    assert np.all(np.abs(out.values) < 1e-14)
+    out = Stencil((6, 6), 0.5).laplacian(np.full((6, 6), -2.2), np.empty((6, 6)))
+    assert np.all(np.abs(out) < 1e-14)
 
 
 def test_laplacian_symmetric_negative_semidefinite(rng):
-    g = GridSpec(2, (8, 8), 1.0)
+    stencil = Stencil((8, 8), 1.0)
     for _ in range(20):
-        f = ScalarField(g, rng.normal(size=(8, 8)))
-        h = ScalarField(g, rng.normal(size=(8, 8)))
-        lhs = inner(neumann_laplacian(f), h)
-        rhs = inner(f, neumann_laplacian(h))
+        f = rng.normal(size=64)
+        h = rng.normal(size=64)
+        lap_f = stencil.laplacian(f, np.empty(64))
+        lhs = float(np.vdot(lap_f, h))
+        rhs = float(np.vdot(f, stencil.laplacian(h, np.empty(64))))
         assert abs(lhs - rhs) <= 1e-13 * (1.0 + abs(lhs))
-        assert inner(neumann_laplacian(f), f) <= 1e-12
+        assert float(np.vdot(lap_f, f)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
 # buffered stencil of the solver loops
 # ---------------------------------------------------------------------------
-
-STENCIL_SHAPES = [(2,), (64,), (2, 3), (5, 7), (32, 32)]
 
 
 def stencil_pair(shape, dx, rng):
@@ -177,6 +187,9 @@ def test_stencil_matches_reference_to_rounding(shape, rng):
     (grad, div), (grad_ref, div_ref) = stencil_pair(shape, 0.3, rng)
     assert all(np.array_equal(g, r) for g, r in zip(grad, grad_ref))
     assert np.max(np.abs(div - div_ref)) <= 1e-15 * np.max(np.abs(div_ref))
+    f = rng.normal(size=shape)
+    lap = Stencil(shape, 0.3).laplacian(f, np.empty(shape))
+    assert np.max(np.abs(lap - laplacian_slices(f, 0.3))) <= 1e-14 * np.max(np.abs(lap))
 
 
 @pytest.mark.parametrize("shape", STENCIL_SHAPES)
@@ -213,54 +226,29 @@ def test_stacked_stencil_rows_match_single_field(shape, dx, rng):
 @pytest.mark.parametrize("shape", STENCIL_SHAPES)
 @pytest.mark.parametrize("dx", [1.0, 0.3])
 def test_array_wrappers_match_slice_reference(shape, dx, rng):
-    # div_arrays must ignore the far-boundary entries that the stencil's
-    # divergence requires to be 0, so the flux here has random ones
     f = rng.normal(size=shape)
-    comps = [rng.normal(size=shape) for _ in shape]
-    assert all(np.array_equal(g, r) for g, r in zip(grad_arrays(f, dx), grad_slices(f, dx)))
-    div, div_ref = div_arrays(comps, dx), div_slices(comps, dx)
-    if dx == 1.0:
-        assert np.array_equal(div, div_ref)
-    else:
-        assert np.max(np.abs(div - div_ref)) <= 1e-15 * np.max(np.abs(div_ref))
-    lap = neumann_laplacian(ScalarField(GridSpec(len(shape), shape, dx), f)).values
-    if dx == 1.0:
-        assert np.array_equal(lap, laplacian_slices(f, dx))
-    else:
-        assert np.max(np.abs(lap - laplacian_slices(f, dx))) <= 1e-14 * np.max(np.abs(lap))
+    ref = grad_slices(f, dx)
+    grad = grad_arrays(f, dx)
+    assert all(np.array_equal(g, r) for g, r in zip(grad, ref))
+    sq = sum(r**2 for r in ref)
+    assert np.array_equal(sq_norm_arrays(grad), sq)
+    assert np.array_equal(grad_norm_arrays(f, dx), np.sqrt(sq))
 
 
 @pytest.mark.parametrize("shape", [(6,), (4, 5)])
 def test_array_wrappers_return_fresh_arrays(shape, rng):
-    # the wrappers share one cached stencil per (shape, dx); nothing they
-    # return may alias its scratch buffers or an earlier result
-    grid = GridSpec(len(shape), shape, 0.5)
+    # grad_arrays shares one cached stencil per (shape, dx); nothing it
+    # returns may alias the stencil's scratch buffers or an earlier result
     st = _stencil(shape, 0.5)
-    f = ScalarField(grid, rng.normal(size=shape))
-    f_copy = f.values.copy()
-    outs = [*grad_arrays(f.values, 0.5), div_arrays(grad_arrays(f.values, 0.5), 0.5),
-            neumann_laplacian(f).values]
+    f = rng.normal(size=shape)
+    f_copy = f.copy()
+    outs = grad_arrays(f, 0.5)
     kept = [o.copy() for o in outs]
     for o in outs:
         assert not np.shares_memory(o, st._tmp) and not np.shares_memory(o, st._lap)
-    other = ScalarField(grid, rng.normal(size=shape))
-    grad_arrays(other.values, 0.5)
-    div_arrays(grad_arrays(other.values, 0.5), 0.5)
-    neumann_laplacian(other)
+    grad_arrays(rng.normal(size=shape), 0.5)
     assert all(np.array_equal(o, k) for o, k in zip(outs, kept))
-    assert np.array_equal(f.values, f_copy)
-
-
-@pytest.mark.parametrize("shape", STENCIL_SHAPES)
-def test_stencil_adjointness(shape, rng):
-    stencil = Stencil(shape, 0.3)
-    f = rng.normal(size=stencil.n)
-    buf = stencil.flux()
-    buf[:, stencil.lead:] = rng.normal(size=(len(shape), stencil.n)) * stencil.mask
-    lhs = float(np.sum(stencil.grad(f, np.zeros((len(shape), stencil.n)))
-                       * buf[:, stencil.lead:]))
-    rhs = -float(f @ stencil.div(buf, np.empty(stencil.n)))
-    assert abs(lhs - rhs) <= 1e-13 * (1.0 + abs(lhs))
+    assert np.array_equal(f, f_copy)
 
 
 # ---------------------------------------------------------------------------
@@ -375,19 +363,19 @@ def test_dirichlet_energy_examples(rng):
     g = GridSpec(2, (6, 6), 0.5)
     assert dirichlet_energy(sf(g, np.full((6, 6), 4.0))) == 0.0
     f = ScalarField(g, rng.normal(size=(6, 6)))
-    gr = gradient(f)
-    assert dirichlet_energy(f) == pytest.approx(0.5 * inner(gr, gr), rel=1e-14)
+    sq = sum(float(np.vdot(c, c)) for c in grad_slices(f.values, g.dx))
+    assert dirichlet_energy(f) == pytest.approx(0.5 * sq * g.cell_volume, rel=1e-14)
 
 
 def power_iteration_norm2(grid, iters=400, seed=7):
     rng = np.random.default_rng(seed)
-    x = ScalarField(grid, rng.normal(size=grid.shape))
+    stencil = Stencil(grid.shape, grid.dx)
+    x = rng.normal(size=grid.n_cells)
     lam = 0.0
     for _ in range(iters):
-        y = divergence(gradient(x))  # -G^T G up to sign
-        lam = abs(inner(x, y)) / inner(x, x)
-        nrm = np.sqrt(inner(y, y))
-        x = ScalarField(grid, y.values / max(nrm, 1e-300))
+        y = stencil.laplacian(x, np.empty(grid.n_cells))  # -G^T G
+        lam = abs(float(np.vdot(x, y))) / float(np.vdot(x, x))
+        x = y / max(np.sqrt(float(np.vdot(y, y))), 1e-300)
     return lam
 
 
@@ -431,19 +419,12 @@ def test_snapshot_round_trip_bitwise(tmp_path, rng):
     f = ScalarField(g, rng.normal(size=(5, 7)))
     path = tmp_path / "snap.csv"
     save_field(path, f, extra_header_lines=("config deadbeef seed 1",))
-    back = load_field(path)
-    assert back.grid == g
-    assert np.array_equal(back.values, f.values)
+    assert path.read_text().splitlines()[:2] == ["# grid dim=2 shape=5x7 dx=0.125",
+                                                 "# config deadbeef seed 1"]
+    assert np.array_equal(np.loadtxt(path, comments="#").reshape(g.shape), f.values)
 
     raw = tmp_path / "snap.raw"
-    save_field_raw(raw, f)
-    back_raw = load_field_raw(raw)
-    assert back_raw.grid == g
-    assert np.array_equal(back_raw.values, f.values)
-
-
-def test_load_field_requires_header(tmp_path):
-    path = tmp_path / "broken.csv"
-    path.write_text("1.0\n2.0\n")
-    with pytest.raises(ValueError):
-        load_field(path)
+    save_field_raw(raw, f, extra_meta_lines=["seed = 1"])
+    assert (tmp_path / "snap.raw.meta").read_text() == (
+        "[field]\ndim = 2\nshape = 5x7\ndx = 0.125\nseed = 1\n")
+    assert np.array_equal(np.fromfile(raw, "<f8").reshape(g.shape), f.values)

@@ -366,6 +366,11 @@ def test_params_validation():
         ThetaStepParams(h=-1.0)
     with pytest.raises(ValueError):
         ThetaStepParams(h=0.1, gap_tol=0.0)
+    # an infinite gap tolerance would accept the first certificate
+    for bad in ({"h": np.inf}, {"gap_tol": np.inf}, {"gap_tol": np.nan}):
+        name = next(iter(bad))
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            ThetaStepParams(**{"h": 0.1, **bad})
     for caps in ({"check_every": 0}, {"max_iters": 0}, {"check_every": -1}, {"max_iters": -5}):
         with pytest.raises(ValueError, match="at least 1"):
             ThetaStepParams(h=0.1, **caps)

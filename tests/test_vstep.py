@@ -207,6 +207,12 @@ def test_params_validation():
         VStepParams(h=0.0)
     with pytest.raises(ValueError):
         VStepParams(h=0.1, outer_tol=-1.0)
+    # an infinite tolerance would stop every loop after one iteration
+    for bad in ({"h": np.inf}, {"outer_tol": np.inf}, {"inner_tol": np.inf},
+                {"inner_tol": np.nan}):
+        name = next(iter(bad))
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            VStepParams(**{"h": 0.1, **bad})
     for caps in ({"max_outer": 0}, {"max_inner": 0}, {"max_outer": -3}, {"max_inner": -1}):
         with pytest.raises(ValueError, match="at least 1"):
             VStepParams(h=0.1, **caps)
