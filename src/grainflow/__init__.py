@@ -28,14 +28,12 @@ from .model import (
 )
 from .scheme import (
     HGateError,
-    Interpolant,
     SchemeParams,
     StepReport,
     Trajectory,
     h_star,
     outside_hypotheses,
     run,
-    time_interpolate,
     validate_initial,
 )
 from .thetastep import (

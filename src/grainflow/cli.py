@@ -46,10 +46,12 @@ is flat sectioned key-value text::
     n_probes = 20           # v-steps measured by probe-contraction
 
 Lines starting with ``#`` and inline ``#`` comments are ignored; values may
-be quoted.  Subcommands: run, verify, sweep-nu, probe-contraction.  A config
-is valid or invalid whatever the subcommand: every value is read and checked
-before anything is written.  Exit status: 0 ok, 1 a check failed, 2 config
-error (the message names the key), 3 any other error.
+be quoted.  A key may be given once per section, even across repeated
+headers of that section.  Subcommands: run, verify, sweep-nu,
+probe-contraction.  A config is valid or invalid whatever the subcommand:
+every value is read and checked before anything is written.  Exit status:
+0 ok, 1 a check failed, 2 config error (the message names the key), 3 any
+other error.
 """
 
 from __future__ import annotations
@@ -158,6 +160,7 @@ class RunConfig:
 
 def parse_config(path) -> RunConfig:
     sections = {}
+    first_line = {}
     current = None
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -173,8 +176,12 @@ def parse_config(path) -> RunConfig:
             if current is None:
                 raise ConfigError(f"{path}:{lineno}: key outside any [section]")
             key, value = (t.strip() for t in line.split("=", 1))
-            value = value.strip("\"'")
-            sections[current][key.lower()] = value
+            key = key.lower()
+            if (current, key) in first_line:
+                raise ConfigError(f"{path}:{lineno}: {current}.{key} given twice "
+                                  f"(first at line {first_line[current, key]})")
+            first_line[current, key] = lineno
+            sections[current][key] = value.strip("\"'")
     return RunConfig(sections, path=str(path))
 
 

@@ -395,9 +395,6 @@ class ModelSpec:
             object.__setattr__(self, "c_star", estimate_c_star(self.potential))
 
     # convenience pass-throughs used throughout the solvers
-    def gamma(self, w):
-        return gamma_eval(self.potential, w)
-
     def gamma_prox(self, lam, r):
         return gamma_prox(self.potential, lam, r)
 
@@ -441,9 +438,6 @@ class ValidationReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.conditions)
-
-    def failures(self):
-        return [c for c in self.conditions if not c.passed]
 
     def __str__(self):
         rows = [

@@ -13,17 +13,19 @@ outside the well-posedness hypotheses.
 The v-step is ``v_step(..., fused=True)``: one proximal-gradient loop that
 refreshes the coupling at every iteration, with the fixed point of the
 paper's Banach map, which the verification path runs.
+A :class:`Trajectory` holds the per-step energies and reports, which the
+checks read; it keeps no states.  States reach a caller only through the
+sink passed to :func:`run`, at the record steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .energy import free_energy
-from .grid import PhaseState, ScalarField
+from .grid import PhaseState
 from .model import CheckCondition, ModelSpec, ValidationReport, check_a4, require_finite
 from .thetastep import ThetaStepParams, theta_step
 from .vstep import SolverError, VStepParams, v_step
@@ -33,12 +35,10 @@ __all__ = [
     "SchemeParams",
     "StepReport",
     "Trajectory",
-    "Interpolant",
     "h_star",
     "outside_hypotheses",
     "validate_initial",
     "run",
-    "time_interpolate",
 ]
 
 
@@ -105,22 +105,11 @@ class Trajectory:
     t_grid: np.ndarray
     energies: list
     reports: list
-    states: list
-    state_steps: list
     outside_hypotheses: bool = False
 
     @property
     def n_steps(self) -> int:
         return len(self.t_grid) - 1
-
-    def state_at(self, step: int) -> PhaseState:
-        try:
-            idx = self.state_steps.index(step)
-        except ValueError:
-            raise ValueError(
-                f"state at step {step} was not recorded (record_every too coarse)"
-            ) from None
-        return self.states[idx]
 
 
 def validate_initial(state: PhaseState, model: ModelSpec) -> ValidationReport:
@@ -156,10 +145,10 @@ def outside_hypotheses(model: ModelSpec, params: SchemeParams) -> bool:
 
 def run(init: PhaseState, model: ModelSpec, params: SchemeParams, sink=None) -> Trajectory:
     """Advance n_steps from the validated initial state; returns the trajectory
-    with per-step reports and energy breakdowns (snapshots every record_every
-    steps, step 0 and the final step always included).  A sink, if given,
-    receives ``sink.on_step(report, energy)`` after every step and
-    ``sink.on_snapshot(step, state)`` at every recorded step after 0."""
+    with per-step reports and energy breakdowns, and no states.  A sink, if
+    given, receives ``sink.on_step(report, energy)`` after every step and
+    ``sink.on_snapshot(step, state)`` at the record steps: every multiple of
+    record_every and the final step (step 0 is the caller's own init)."""
     report = validate_initial(init, model)
     if not report.passed:
         raise ValueError("initial data rejected:\n" + str(report))
@@ -170,8 +159,6 @@ def run(init: PhaseState, model: ModelSpec, params: SchemeParams, sink=None) -> 
     state = init.copy()
     energies = [free_energy(state, model, nu)]
     reports = []
-    states = [state.copy()]
-    state_steps = [0]
     t_grid = h * np.arange(params.n_steps + 1)
     warm_dual = None
 
@@ -217,11 +204,8 @@ def run(init: PhaseState, model: ModelSpec, params: SchemeParams, sink=None) -> 
         reports.append(step_report)
         if sink is not None:
             sink.on_step(step_report, energy)
-        if i % params.record_every == 0 or i == params.n_steps:
-            states.append(state.copy())
-            state_steps.append(i)
-            if sink is not None:
-                sink.on_snapshot(i, state)
+        if sink is not None and (i % params.record_every == 0 or i == params.n_steps):
+            sink.on_snapshot(i, state)
 
     return Trajectory(
         h=h,
@@ -229,40 +213,5 @@ def run(init: PhaseState, model: ModelSpec, params: SchemeParams, sink=None) -> 
         t_grid=t_grid,
         energies=energies,
         reports=reports,
-        states=states,
-        state_steps=state_steps,
         outside_hypotheses=outside,
     )
-
-
-class Interpolant(Enum):
-    PIECEWISE_CONSTANT_RIGHT = "right"
-    PIECEWISE_CONSTANT_LEFT = "left"
-    LINEAR = "linear"
-
-
-def _blend(sa: PhaseState, sb: PhaseState, lam: float) -> PhaseState:
-    def mix(fa: ScalarField, fb: ScalarField) -> ScalarField:
-        return ScalarField(fa.grid, (1.0 - lam) * fa.values + lam * fb.values)
-
-    return PhaseState(mix(sa.w, sb.w), mix(sa.eta, sb.eta), mix(sa.theta, sb.theta))
-
-
-def time_interpolate(traj: Trajectory, t: float, kind: Interpolant) -> PhaseState:
-    """The three time interpolants of the discrete trajectory: value at the
-    right node of the containing interval, value at the left node, and the
-    piecewise-linear interpolant.  All agree with the stored state at nodes."""
-    h = traj.h
-    n = traj.n_steps
-    if not (0.0 <= t <= n * h * (1.0 + 1e-12)):
-        raise ValueError(f"t = {t} outside the trajectory range [0, {n * h}]")
-    s = t / h
-    nearest = int(round(s))
-    if abs(s - nearest) <= 1e-9 and 0 <= nearest <= n:
-        return traj.state_at(nearest).copy()
-    if kind is Interpolant.PIECEWISE_CONSTANT_RIGHT:
-        return traj.state_at(min(int(np.ceil(s)), n)).copy()
-    if kind is Interpolant.PIECEWISE_CONSTANT_LEFT:
-        return traj.state_at(int(np.floor(s))).copy()
-    lo = int(np.floor(s))
-    return _blend(traj.state_at(lo), traj.state_at(lo + 1), s - lo)

@@ -232,7 +232,7 @@ def nu_limit_study(init: PhaseState, model: ModelSpec, nu_schedule,
     aggregates = []
     wtv_aggs = []
     for nu in nus:
-        traj = run(init, model, replace(params, nu=nu, record_every=params.n_steps))
+        traj = run(init, model, replace(params, nu=nu))
         aggregates.append(params.h * sum(e.nu_dirichlet_term for e in traj.energies[1:]))
         wtv_aggs.append(params.h * sum(e.wtv_term for e in traj.energies[1:]))
     passed = len(nus) == 1 or aggregates[-1] < 0.1 * aggregates[0]

@@ -32,6 +32,21 @@ def model_for(setting: str, mobility: str = None) -> ModelSpec:
     return ModelSpec(pot, mob)
 
 
+class RecordingSink:
+    """A scheme.run sink that keeps the step of every on_step call and a copy
+    of every (step, state) that on_snapshot receives, in call order."""
+
+    def __init__(self):
+        self.steps = []
+        self.snapshots = []
+
+    def on_step(self, report, energy):
+        self.steps.append(report.step)
+
+    def on_snapshot(self, step, state):
+        self.snapshots.append((step, state.copy()))
+
+
 @pytest.fixture(scope="session")
 def g1_model():
     return model_for("g1")

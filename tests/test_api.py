@@ -69,3 +69,33 @@ def test_grid_exports_have_program_callers():
         used |= {n.id for n in nodes if isinstance(n, ast.Name) and n.id in imported}
         used |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
     assert sorted(set(grid.__all__) - used) == []
+
+
+def test_definitions_have_program_callers():
+    # every public function or method defined in the package is read by the
+    # program itself, in the package or the benchmark, and not only by tests.
+    # A read is a name or an attribute loaded outside a def of that name, so
+    # neither a def, a recursive call nor a same-named pass-through counts.
+    package = Path(grainflow.__file__).parent
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    paths = sorted(package.glob("*.py")) + sorted(perfbench.rglob("*.py"))
+    assert any(p.is_relative_to(perfbench) for p in paths)
+    # the subject of criterion 6; tests use it as the reference bound
+    exempt = {"v_step_perturbation_bound"}
+    defined, used = set(), set()
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        defs = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        if path.parent == package:
+            scopes = [tree.body] + [n.body for n in tree.body if isinstance(n, ast.ClassDef)]
+            defined |= {f"{path.stem}.{n.name}" for body in scopes for n in body
+                        if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")}
+        inside = {id(m): d.name for d in defs for m in ast.walk(d) if m is not d}
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else None)
+            if (name is not None and isinstance(node.ctx, ast.Load)
+                    and inside.get(id(node)) != name):
+                used.add(name)
+    unread = sorted(d for d in defined if d.split(".")[1] not in used | exempt)
+    assert unread == []

@@ -155,6 +155,19 @@ def test_h_and_h_frac_exclusive(tmp_path):
         build_scheme_params(cfg, model)
 
 
+def test_repeated_key_is_a_config_error(tmp_path):
+    # a second [scheme] header is allowed, but not a second scheme.nu in it
+    text = BASE.format(out=tmp_path / "o") + "\n[scheme]\nnu = 0.5\n"
+    lines = text.splitlines()
+    first, second = (n for n, line in enumerate(lines, start=1) if line.startswith("nu ="))
+    path = write_cfg(tmp_path, text, name="dup.cfg")
+    with pytest.raises(ConfigError, match=rf"dup\.cfg:{second}: scheme\.nu given twice "
+                                          rf"\(first at line {first}\)$"):
+        parse_config(path)
+    assert main(["run", "--config", path]) == 2
+    assert not (tmp_path / "o").exists()
+
+
 def test_digest_ignores_output_and_seed(tmp_path):
     a = parse_config(write_cfg(tmp_path, BASE.format(out="/tmp/a")))
     b = parse_config(write_cfg(tmp_path, BASE.format(out="/tmp/b"), name="b.cfg"))

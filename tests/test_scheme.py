@@ -7,7 +7,6 @@ import pytest
 from grainflow import (
     GridSpec,
     HGateError,
-    Interpolant,
     MobilityKind,
     MobilitySpec,
     ModelSpec,
@@ -22,7 +21,6 @@ from grainflow import (
     VStepParams,
     h_star,
     run,
-    time_interpolate,
     validate_initial,
 )
 from grainflow.cli import (_initial_state, build_grid, build_model, build_scheme_params,
@@ -30,7 +28,7 @@ from grainflow.cli import (_initial_state, build_grid, build_model, build_scheme
 from grainflow import scheme
 from grainflow.verify import check_dissipation
 from grainflow.vstep import InnerNoConvergence, v_step
-from conftest import model_for
+from conftest import RecordingSink, model_for
 
 
 def with_c2(value):
@@ -64,7 +62,7 @@ def test_validate_initial(g1_model, g2_model, rng):
     )
     report = validate_initial(bad_w, g1_model)
     assert not report.passed
-    assert any("o* <= w" in c.name for c in report.failures())
+    assert any("o* <= w" in c.name for c in report.conditions if not c.passed)
 
     below = PhaseState(
         ScalarField(grid, np.full(16, 0.01)),  # below o* = 0.05
@@ -78,10 +76,12 @@ def test_equilibrium_run_is_constant(g1_model):
     grid = GridSpec(1, (24,), 1.0)
     init = make_initial("wells", grid, g1_model, seed=0)
     params = SchemeParams(h=0.5 * h_star(g1_model), nu=0.1, n_steps=8)
-    traj = run(init, g1_model, params)
+    sink = RecordingSink()
+    traj = run(init, g1_model, params, sink=sink)
     for e in traj.energies:
         assert e.total == 0.0
-    for st in traj.states:
+    assert [step for step, _ in sink.snapshots] == list(range(1, 9))
+    for _, st in sink.snapshots:
         assert np.array_equal(st.w.values, init.w.values)
         assert np.array_equal(st.theta.values, init.theta.values)
 
@@ -179,9 +179,11 @@ def test_telescoped_energy_estimate(g1_model):
 def test_run_deterministic_bitwise(g1_model):
     grid = GridSpec(1, (24,), 1.0)
     params = SchemeParams(h=0.5 * h_star(g1_model), nu=0.1, n_steps=6)
-    t1 = run(make_initial("random", grid, g1_model, seed=5), g1_model, params)
-    t2 = run(make_initial("random", grid, g1_model, seed=5), g1_model, params)
-    for a, b in zip(t1.states, t2.states):
+    s1, s2 = RecordingSink(), RecordingSink()
+    t1 = run(make_initial("random", grid, g1_model, seed=5), g1_model, params, sink=s1)
+    t2 = run(make_initial("random", grid, g1_model, seed=5), g1_model, params, sink=s2)
+    assert [step for step, _ in s1.snapshots] == [step for step, _ in s2.snapshots]
+    for (_, a), (_, b) in zip(s1.snapshots, s2.snapshots):
         assert np.array_equal(a.w.values, b.w.values)
         assert np.array_equal(a.eta.values, b.eta.values)
         assert np.array_equal(a.theta.values, b.theta.values)
@@ -263,65 +265,54 @@ def test_grains_96x96_first_step():
 
 
 # ---------------------------------------------------------------------------
-# interpolants
+# the sink: the one way run hands out states
 # ---------------------------------------------------------------------------
 
-@pytest.fixture(scope="module")
-def short_traj():
+def short_run(record_every):
+    """A 5-step g1 run and the sink that recorded it."""
     model = model_for("g1")
     grid = GridSpec(1, (24,), 1.0)
     init = make_initial("random", grid, model, seed=2)
-    params = SchemeParams(h=0.5 * h_star(model), nu=0.1, n_steps=5, record_every=1)
-    return run(init, model, params)
+    params = SchemeParams(h=0.5 * h_star(model), nu=0.1, n_steps=5,
+                          record_every=record_every)
+    sink = RecordingSink()
+    traj = run(init, model, params, sink=sink)
+    return init, traj, sink
 
 
-def test_interpolants_agree_at_nodes(short_traj):
-    h = short_traj.h
-    for i in range(short_traj.n_steps + 1):
-        ref = short_traj.state_at(i)
-        for kind in Interpolant:
-            out = time_interpolate(short_traj, i * h, kind)
-            assert np.array_equal(out.theta.values, ref.theta.values)
+@pytest.fixture(scope="module")
+def every_step():
+    return short_run(record_every=1)
 
 
-def test_linear_interpolant_midpoint_mean(short_traj):
-    h = short_traj.h
-    mid = time_interpolate(short_traj, 1.5 * h, Interpolant.LINEAR)
-    expected = 0.5 * (short_traj.state_at(1).w.values + short_traj.state_at(2).w.values)
-    assert np.allclose(mid.w.values, expected, atol=1e-15)
-    left = time_interpolate(short_traj, 1.5 * h, Interpolant.PIECEWISE_CONSTANT_LEFT)
-    right = time_interpolate(short_traj, 1.5 * h, Interpolant.PIECEWISE_CONSTANT_RIGHT)
-    assert np.array_equal(left.w.values, short_traj.state_at(1).w.values)
-    assert np.array_equal(right.w.values, short_traj.state_at(2).w.values)
+def test_sink_receives_every_step_and_the_record_steps(every_step):
+    _, _, dense = every_step
+    _, _, sparse = short_run(record_every=2)
+    assert sparse.steps == [1, 2, 3, 4, 5]
+    assert [step for step, _ in sparse.snapshots] == [2, 4, 5]
+    states = dict(dense.snapshots)
+    for step, st in sparse.snapshots:
+        assert np.array_equal(st.w.values, states[step].w.values)
+        assert np.array_equal(st.eta.values, states[step].eta.values)
+        assert np.array_equal(st.theta.values, states[step].theta.values)
 
 
-def test_interpolation_gap_bound(short_traj):
+def test_interpolation_gap_bound(every_step):
     # sup_t |vbar - vhat| = max_i |dv_i| <= sqrt(h) * ||(vhat)_t||_{L2 L2}
-    h = short_traj.h
-    vol = short_traj.states[0].grid.cell_volume
+    init, traj, sink = every_step
+    h = traj.h
+    vol = init.grid.cell_volume
+    states = [init] + [st for _, st in sink.snapshots]
+    assert len(states) == traj.n_steps + 1
     incr = []
-    for i in range(1, short_traj.n_steps + 1):
-        a, b = short_traj.state_at(i - 1), short_traj.state_at(i)
+    for i in range(1, traj.n_steps + 1):
+        a, b = states[i - 1], states[i]
         dw = b.w.values - a.w.values
         de = b.eta.values - a.eta.values
         incr.append(np.sqrt((np.sum(dw**2) + np.sum(de**2)) * vol))
     lhs = max(incr)
     rhs = np.sqrt(h) * np.sqrt(sum((d / h) ** 2 * h for d in incr))
     assert lhs <= rhs + 1e-14
-
-
-def test_interpolate_range_and_recording_errors(short_traj, g1_model):
-    with pytest.raises(ValueError):
-        time_interpolate(short_traj, -0.1, Interpolant.LINEAR)
-    with pytest.raises(ValueError):
-        time_interpolate(short_traj, 100.0, Interpolant.LINEAR)
-    grid = GridSpec(1, (16,), 1.0)
-    init = make_initial("random", grid, g1_model, seed=9)
-    sparse = run(init, g1_model,
-                 SchemeParams(h=0.5 * h_star(g1_model), nu=0.1, n_steps=4,
-                              record_every=4))
-    with pytest.raises(ValueError, match="not recorded"):
-        time_interpolate(sparse, 1.5 * sparse.h, Interpolant.LINEAR)
 
 
 def test_scheme_params_validation(g1_model):
