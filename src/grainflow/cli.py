@@ -296,8 +296,8 @@ def make_initial(kind: str, grid: GridSpec, model: ModelSpec, seed: int,
 # ---------------------------------------------------------------------------
 
 ENERGY_COLUMNS = ("step,t,dirichlet_v,gamma,g,wtv,nu_dirichlet,total,diss_v,"
-                  "diss_theta,v_outer_iters,v_inner_iters,theta_iters,duality_gap,"
-                  "contraction_ratio,max_box_violation,linf_theta")
+                  "diss_theta,v_outer_iters,v_inner_iters,theta_iters,theta_start_ratio,"
+                  "duality_gap,contraction_ratio,max_box_violation,linf_theta")
 
 
 class OutputSink:
@@ -316,7 +316,7 @@ class OutputSink:
 
     def write_initial(self, state: PhaseState, energy):
         linf = float(np.abs(state.theta.values).max())
-        self.on_step(StepReport(0, 0.0, 0.0, 0.0, 0, 0, 0, 0.0, 0.0, 0.0, 0.0, linf), energy)
+        self.on_step(StepReport(0, 0.0, 0.0, 0.0, 0, 0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, linf), energy)
         self.on_snapshot(0, state)
 
     def on_step(self, rep: StepReport, energy):
@@ -324,8 +324,8 @@ class OutputSink:
                  repr(energy.g_term), repr(energy.wtv_term),
                  repr(energy.nu_dirichlet_term), repr(energy.total), repr(rep.diss_v),
                  repr(rep.diss_theta), str(rep.v_outer_iters), str(rep.v_inner_iters),
-                 str(rep.theta_iters), repr(rep.duality_gap), repr(rep.contraction_ratio),
-                 repr(rep.box_violation), repr(rep.linf_theta)]
+                 str(rep.theta_iters), repr(rep.theta_start_ratio), repr(rep.duality_gap),
+                 repr(rep.contraction_ratio), repr(rep.box_violation), repr(rep.linf_theta)]
         self._fh.write(",".join(cells) + "\n")
 
     def on_snapshot(self, step, state: PhaseState):

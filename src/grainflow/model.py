@@ -351,31 +351,39 @@ def mobility_eval(spec: MobilitySpec, w, eta):
 # derived constants
 # ---------------------------------------------------------------------------
 
+_LATTICE_ROWS = 16  # lattice rows sampled at a time: the peak memory of a model build
+
+
+def _lattice_blocks(samples: int):
+    """(W, E) blocks of the samples x samples lattice on [0,1]^2, by rows."""
+    ws = np.linspace(0.0, 1.0, samples)
+    return (np.meshgrid(ws[i:i + _LATTICE_ROWS], ws, indexing="ij")
+            for i in range(0, samples, _LATTICE_ROWS))
+
+
 def estimate_c2_norm(spec: PotentialSpec, samples: int = 401) -> float:
     """C2 norm of g on [0,1]^2 by dense lattice sampling: the max over sample
     points of |g|, the Euclidean gradient norm, and the spectral norm of the
     Hessian.  The spectral (operator) norm is what the contraction and
-    dissipation constants require."""
+    dissipation constants require.  A max does not depend on the blocks."""
     if samples < 2:
         raise ValueError("need at least a 2x2 sampling lattice")
-    ws = np.linspace(0.0, 1.0, samples)
-    es = np.linspace(0.0, 1.0, samples)
-    W, E = np.meshgrid(ws, es, indexing="ij")
-    vals = np.abs(g_eval(spec, W, E))
-    gw, ge = grad_g(spec, W, E)
-    gnorm = np.sqrt(gw**2 + ge**2)
-    gww, gwe, gee = hessian_g(spec, W, E)
-    spectral = np.abs(0.5 * (gww + gee)) + np.sqrt(0.25 * (gww - gee) ** 2 + gwe**2)
-    return float(max(vals.max(), gnorm.max(), spectral.max()))
+    top = 0.0
+    for W, E in _lattice_blocks(samples):
+        vals = np.abs(g_eval(spec, W, E))
+        gw, ge = grad_g(spec, W, E)
+        gnorm = np.sqrt(gw**2 + ge**2)
+        gww, gwe, gee = hessian_g(spec, W, E)
+        spectral = np.abs(0.5 * (gww + gee)) + np.sqrt(0.25 * (gww - gee) ** 2 + gwe**2)
+        top = max(top, vals.max(), gnorm.max(), spectral.max())
+    return float(top)
 
 
 def estimate_c_star(spec: PotentialSpec, samples: int = 401) -> float:
-    """Sampled lower bound constant c* with gamma + g >= c* on [0,1]^2."""
-    ws = np.linspace(0.0, 1.0, samples)
-    es = np.linspace(0.0, 1.0, samples)
-    W, E = np.meshgrid(ws, es, indexing="ij")
-    total = gamma_eval(spec, W) + g_eval(spec, W, E)
-    return float(np.min(total))
+    """Sampled lower bound constant c* with gamma + g >= c* on [0,1]^2,
+    sampled in blocks of rows like :func:`estimate_c2_norm`."""
+    return float(min(np.min(gamma_eval(spec, W) + g_eval(spec, W, E))
+                     for W, E in _lattice_blocks(samples)))
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ outside the well-posedness hypotheses.
 The v-step is ``v_step(..., fused=True)``: one proximal-gradient loop that
 refreshes the coupling at every iteration, with the fixed point of the
 paper's Banach map, which the verification path runs.
+Each theta-step hands the next its dual and the PDHG start ratio it learns.
 A :class:`Trajectory` holds the per-step energies and reports, which the
 checks read; it keeps no states.  States reach a caller only through the
 sink passed to :func:`run`, at the record steps.
@@ -27,7 +28,7 @@ import numpy as np
 from .energy import free_energy
 from .grid import PhaseState
 from .model import CheckCondition, ModelSpec, ValidationReport, check_a4, require_finite
-from .thetastep import ThetaStepParams, theta_step
+from .thetastep import StartRatio, ThetaStepParams, theta_step
 from .vstep import SolverError, VStepParams, v_step
 
 __all__ = [
@@ -91,6 +92,7 @@ class StepReport:
     v_outer_iters: int  # coupling evaluations: v_inner_iters in run
     v_inner_iters: int
     theta_iters: int
+    theta_start_ratio: float  # the PDHG start ratio the solve was given
     duality_gap: float
     contraction_ratio: float  # run's single loop: below 1 - tau (1/h - L)
     box_violation: float
@@ -161,19 +163,23 @@ def run(init: PhaseState, model: ModelSpec, params: SchemeParams, sink=None) -> 
     reports = []
     t_grid = h * np.arange(params.n_steps + 1)
     warm_dual = None
+    start = StartRatio(init.grid.dim)
 
     for i in range(1, params.n_steps + 1):
         # the theta gap feeds straight into the per-step dissipation slack;
         # 1e-9*(1+|F_prev|) sits 10x inside the 1e-8*(1+|F_prev|) budget
         gap_budget = 1e-9 * (1.0 + abs(energies[-1].total))
+        ratio = start.propose()
         try:
             v_new, vrep = v_step((state.w, state.eta), state.theta, model, nu, params.vstep,
                                  fused=True)
             theta_new, trep = theta_step(state.theta, v_new, model, nu, params.thetastep,
-                                         warm_dual=warm_dual, gap_abs=gap_budget)
+                                         warm_dual=warm_dual, gap_abs=gap_budget,
+                                         start_ratio=ratio)
         except SolverError as err:  # same class, so callers can catch one kind
             raise type(err)(f"step {i}: {err}") from err
         warm_dual = trep.dual
+        start.learn(trep.sweeps)
 
         dw = v_new[0].values - state.w.values
         de = v_new[1].values - state.eta.values
@@ -194,6 +200,7 @@ def run(init: PhaseState, model: ModelSpec, params: SchemeParams, sink=None) -> 
             v_outer_iters=vrep.outer_iters,
             v_inner_iters=vrep.inner_iters_total,
             theta_iters=trep.iters,
+            theta_start_ratio=ratio,
             duality_gap=trep.duality_gap,
             contraction_ratio=vrep.final_contraction_ratio,
             box_violation=vrep.box_violation,

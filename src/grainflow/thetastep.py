@@ -16,14 +16,15 @@ is the indicator of the ball |p| <= a when nu b = 0 and
 nu = 0 needs no smoothing.
 
 The step sizes are tau = r/||grad|| and sigma = 1/(r ||grad||), so that
-tau*sigma*||grad||^2 = 1, with r = 1/8 in 1D and 1/16 in 2D at the start.
-They adapt by one rule.  When the gap of the last iterate stalls (it fails to
-halve over a window of 5 certificates), r jumps down towards the plateau
-level the remaining gap calls for, with a floor at 1/4096 of the start.  A
-stall at the floor wraps r back to the start and doubles the window for the
-rest of the solve.  The doubling matters: with a fixed window the wrap-around
-can lock into a cycle between the start ratio and the floor that never gives
-either ratio the run it needs.
+tau*sigma*||grad||^2 = 1.  r starts at ``start_ratio``, which the time loop
+learns across its steps (:class:`StartRatio`), by default at r0 = 1/8 in 1D
+and 1/16 in 2D.  Within a solve r adapts by one rule.  When the gap of the
+last iterate stalls (it fails to halve over a window of 5 certificates), r
+jumps down towards the plateau level the remaining gap calls for, with a floor
+at 1/4096 of the start.  A stall at the floor wraps r back to the start and
+doubles the window for the rest of the solve.  The doubling matters: with a
+fixed window the wrap-around can lock into a cycle between the start ratio
+and the floor that never gives either ratio the run it needs.
 
 The returned iterate is the truncated dual reconstruction
 
@@ -52,6 +53,7 @@ __all__ = [
     "ThetaNoConvergence",
     "ThetaStepParams",
     "ThetaStepReport",
+    "StartRatio",
     "theta_step",
     "oracle_theta_min",
 ]
@@ -86,6 +88,7 @@ class ThetaStepParams:
 @dataclass
 class ThetaStepReport:
     iters: int
+    sweeps: int  # the PDHG sweeps among iters
     duality_gap: float
     linf_in: float
     linf_out: float
@@ -98,11 +101,50 @@ def _mobility_weights(v_new, model: ModelSpec):
     return tuple(np.broadcast_to(c, w.shape) for c in model.mobilities(w, e)[:3])
 
 
+_R0 = {1: 0.125, 2: 0.0625}  # the default start ratio by grid dimension
+
+
+class StartRatio:
+    """The PDHG start ratio r that a run carries across its theta-steps.
+
+    Once ``wait`` solves at r have passed, a solve starts at 2r (or r/2), and
+    r takes that value when the solve needs fewer than 0.9x the moving average
+    (weight 1/4) of the sweeps at r; a failed trial doubles its direction's
+    wait, from 4 up to 64.  r stays in [r0/64, 8 r0] and is learned from the
+    sweep counts of solves that ran PDHG only, so runs stay reproducible."""
+
+    def __init__(self, dim: int):
+        self.r0 = self.ratio = _R0[dim]
+        self.mean = self.trial = None
+        self.wait, self.due = {2.0: 4, 0.5: 4}, {2.0: 4, 0.5: 4}
+
+    def propose(self) -> float:
+        """The start ratio of the next solve."""
+        self.trial = next((f for f, d in self.due.items() if d <= 0
+                           and self.r0 / 64.0 <= f * self.ratio <= 8.0 * self.r0), None)
+        return self.ratio * (self.trial or 1.0)
+
+    def learn(self, sweeps: int):
+        """Takes the PDHG sweeps of the solve started at :meth:`propose`."""
+        f = self.trial
+        if sweeps and f is None:
+            self.mean = sweeps if self.mean is None else 0.75 * self.mean + 0.25 * sweeps
+            self.due = {k: d - 1 for k, d in self.due.items()}
+        elif sweeps:
+            better = sweeps < 0.9 * self.mean
+            if better:
+                self.ratio, self.mean = f * self.ratio, sweeps
+            self.wait[f] = 4 if better else min(2 * self.wait[f], 64)
+            self.due[f] = self.wait[f]
+
+
 def theta_step(theta_prev: ScalarField, v_new, model: ModelSpec, nu: float,
-               params: ThetaStepParams, warm_dual=None, gap_abs: float = 0.0):
+               params: ThetaStepParams, warm_dual=None, gap_abs: float = 0.0,
+               start_ratio: float = None):
     """Solve one theta-step; returns (theta_new, ThetaStepReport).
 
-    ``warm_dual`` may carry the dual state of a previous related solve.
+    ``warm_dual`` may carry the dual state of a previous related solve, and
+    ``start_ratio`` the PDHG step ratio to start from (default r0).
     ``iters`` in the report counts Newton steps plus PDHG sweeps, and
     ``params.max_iters`` caps their sum.
     ``gap_abs`` optionally widens the stopping rule to
@@ -114,15 +156,15 @@ def theta_step(theta_prev: ScalarField, v_new, model: ModelSpec, nu: float,
     nb = 2.0 * nu * bw if nu != 0.0 else None  # curvature weights of the dual prox
     loop = _PdhgLoop(theta_prev.values, a0, aw, nb, params.h, grid.dx, warm_dual)
     chosen = last = prev_hat = None
-    iters = 0
+    iters = newton = 0
     if grid.dim == 1 and loop.reconstructable and (nb is None or float(nb.min()) > 0.0):
-        iters = _dual_newton(loop)
+        iters = newton = _dual_newton(loop)
         last = loop.certify()
         if last[1] <= max(params.gap_tol * (1.0 + abs(last[3])), gap_abs):
             chosen = last
 
     gn = np.sqrt(grad_operator_norm_bound(grid))
-    ratio0 = 0.125 if grid.dim == 1 else 0.0625
+    ratio0 = start_ratio if start_ratio is not None else _R0[grid.dim]
     ratio, min_ratio = ratio0, ratio0 / 4096.0
     loop.set_steps(ratio / gn, 1.0 / (ratio * gn))
     gap_history = []
@@ -174,6 +216,7 @@ def theta_step(theta_prev: ScalarField, v_new, model: ModelSpec, nu: float,
     t_hat, _, gap_hat, _ = chosen
     report = ThetaStepReport(
         iters=iters,
+        sweeps=iters - newton,
         duality_gap=gap_hat,
         linf_in=loop.linf,
         linf_out=float(np.abs(t_hat).max()),

@@ -224,6 +224,7 @@ def test_run_command_wells_zero_energy(tmp_path):
     assert lines[0].startswith("# config ")
     header = lines[1].split(",")
     assert header[0] == "step" and header[-1] == "linf_theta"
+    assert header[header.index("theta_iters") + 1] == "theta_start_ratio"
     for row in lines[2:]:
         assert float(row.split(",")[7]) == 0.0  # total stays 0
 
@@ -234,8 +235,10 @@ def test_energy_log_records_solver_fields(tmp_path):
     lines = (tmp_path / "out" / "energy.csv").read_text().splitlines()
     header = lines[1].split(",")
     rows = [dict(zip(header, map(float, row.split(",")))) for row in lines[2:]]
-    fields = ("v_inner_iters", "duality_gap", "contraction_ratio")
+    fields = ("v_inner_iters", "theta_start_ratio", "duality_gap", "contraction_ratio")
     assert all(rows[0][f] == 0.0 for f in fields)
+    # 1D theta-steps are certified by Newton, so the start ratio stays r0
+    assert {row["theta_start_ratio"] for row in rows[1:]} == {0.125}
     for prev, row in zip(rows, rows[1:]):
         # the time loop refreshes the coupling at every v-step iteration
         assert row["v_inner_iters"] == row["v_outer_iters"] >= 1

@@ -407,6 +407,19 @@ def test_c2_norm_sampling_converged(c):
     assert abs(fine - coarse) <= 1e-3 * fine
 
 
+@pytest.mark.parametrize("samples", [2, 17, 401])
+@pytest.mark.parametrize("spec", [G1, G2, G3], ids=["g1", "g2", "g3"])
+def test_constants_do_not_depend_on_the_lattice_blocks(spec, samples, monkeypatch):
+    # the lattice is sampled a few rows at a time; one block of every row is
+    # the dense evaluation, and both must agree bit for bit
+    def constants():
+        return [estimate_c2_norm(spec, samples).hex(), estimate_c_star(spec, samples).hex()]
+
+    chunked = constants()
+    monkeypatch.setattr(model_module, "_LATTICE_ROWS", samples)
+    assert constants() == chunked
+
+
 @pytest.mark.parametrize("spec", [G1, G2, G3], ids=["g1", "g2", "g3"])
 def test_c_star_lower_bounds_double_well(spec, rng):
     c_star = estimate_c_star(spec)

@@ -21,6 +21,7 @@ from grainflow import (
     VStepParams,
     h_star,
     run,
+    theta_step,
     validate_initial,
 )
 from grainflow.cli import (_initial_state, build_grid, build_model, build_scheme_params,
@@ -229,6 +230,62 @@ def test_run_calls_the_fused_v_step_by_its_module_name(g1_model, monkeypatch):
     traj = run(make_initial("random", grid, g1_model, seed=7), g1_model, params)
     assert calls == [{"fused": True}] * 4
     assert all(r.v_outer_iters == r.v_inner_iters >= 1 for r in traj.reports)
+
+
+# ---------------------------------------------------------------------------
+# the PDHG start ratio the time loop learns
+# ---------------------------------------------------------------------------
+
+def test_learned_start_ratio_run_is_deterministic(g1_model):
+    grid = GridSpec(2, (16, 16), 1.0)
+    params = SchemeParams(h=0.5 * h_star(g1_model), nu=0.0, n_steps=24, record_every=24)
+    runs = []
+    for _ in range(2):
+        sink = RecordingSink()
+        traj = run(make_initial("random", grid, g1_model, seed=5), g1_model, params, sink=sink)
+        runs.append((traj, sink.snapshots[-1][1]))
+    (t1, s1), (t2, s2) = runs
+    assert len({r.theta_start_ratio for r in t1.reports}) > 1  # the ratio moved
+    assert [r.theta_iters for r in t1.reports] == [r.theta_iters for r in t2.reports]
+    assert [r.theta_start_ratio for r in t1.reports] == [r.theta_start_ratio for r in t2.reports]
+    for name in ("w", "eta", "theta"):
+        assert np.array_equal(getattr(s1, name).values, getattr(s2, name).values)
+
+
+@pytest.mark.parametrize("power, bound", [(1.0, 1.0 / 64.0), (-1.0, 8.0)])
+def test_learned_start_ratio_stays_in_bounds(g1_model, monkeypatch, power, bound):
+    # solves rigged so that a smaller (power 1) or larger (power -1) start
+    # ratio always takes fewer sweeps: the ratio runs to its bound and stops
+    r0 = 0.0625
+
+    def rigged(*args, start_ratio, **kwargs):
+        theta, rep = theta_step(*args, start_ratio=start_ratio, **kwargs)
+        return theta, dataclasses.replace(rep, sweeps=round(1000 * (start_ratio / r0) ** power))
+
+    monkeypatch.setattr(scheme, "theta_step", rigged)
+    grid = GridSpec(2, (4, 4), 1.0)
+    params = SchemeParams(h=0.5 * h_star(g1_model), nu=0.1, n_steps=100, record_every=100)
+    traj = run(make_initial("random", grid, g1_model, seed=7), g1_model, params)
+    ratios = [r.theta_start_ratio for r in traj.reports]
+    assert all(r0 / 64.0 <= r <= 8.0 * r0 for r in ratios)
+    assert ratios[-1] == bound * r0
+
+
+def test_newton_certified_run_never_teaches_the_start_ratio(g1_model, monkeypatch):
+    seen = []
+
+    class Watched(scheme.StartRatio):
+        def learn(self, sweeps):
+            before = dict(vars(self), due=dict(self.due), wait=dict(self.wait))
+            super().learn(sweeps)
+            seen.append((sweeps, before == vars(self)))
+
+    monkeypatch.setattr(scheme, "StartRatio", Watched)
+    grid = GridSpec(1, (32,), 1.0)
+    params = SchemeParams(h=0.5 * h_star(g1_model), nu=0.1, n_steps=30, record_every=30)
+    traj = run(make_initial("random", grid, g1_model, seed=11), g1_model, params)
+    assert seen == [(0, True)] * 30
+    assert {r.theta_start_ratio for r in traj.reports} == {0.125}
 
 
 # ---------------------------------------------------------------------------

@@ -329,6 +329,60 @@ def test_oracle_rejects_large_instances(g1_model):
 
 
 # ---------------------------------------------------------------------------
+# the start ratio
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("shape, dim_ratio", [((12, 9), 0.0625), ((48,), 0.125)])
+def test_default_start_ratio_is_r0(g1_model, rng, shape, dim_ratio):
+    grid = GridSpec(len(shape), shape, 1.0)
+    v = random_admissible_v(grid, g1_model, rng)
+    theta0 = ScalarField(grid, 0.8 * np.tanh(rng.normal(size=shape)))
+    params = ThetaStepParams(h=bench_h(g1_model))
+    got, rep = theta_step(theta0, v, g1_model, 0.0, params)
+    want, rep_r0 = theta_step(theta0, v, g1_model, 0.0, params, start_ratio=dim_ratio)
+    assert np.array_equal(got.values, want.values)
+    assert (rep.iters, rep.sweeps) == (rep_r0.iters, rep_r0.sweeps)
+    if len(shape) == 2:  # in 1D Newton certifies the step, and no ratio is used
+        _, other = theta_step(theta0, v, g1_model, 0.0, params, start_ratio=4.0 * dim_ratio)
+        assert rep.sweeps > 0 and other.iters != rep.iters
+
+
+def drive(learner, sweeps_at, n):
+    """Runs n solves of a learner whose solve at ratio r takes sweeps_at(r)
+    sweeps; returns the ratios proposed."""
+    ratios = []
+    for _ in range(n):
+        ratios.append(learner.propose())
+        learner.learn(sweeps_at(ratios[-1]))
+    return ratios
+
+
+def test_start_ratio_backs_off_failed_trials():
+    # a problem whose best ratio is r0: every trial fails, and each failure
+    # doubles the wait of its direction up to 64 solves
+    learner = thetastep.StartRatio(2)
+    r0 = learner.ratio
+    ratios = drive(learner, lambda r: 1000 if r == r0 else 1500, 1000)
+    assert learner.ratio == r0 and learner.wait == {2.0: 64, 0.5: 64}
+    trials = [r for r in ratios if r != r0]
+    assert sorted(set(trials)) == [r0 / 2.0, 2.0 * r0]
+    assert len(trials) <= 2 * (4 + 1000 // 64)
+
+
+def test_start_ratio_adopts_a_better_ratio():
+    # sweeps grow with the distance of log2 r from its best value r0/4
+    learner = thetastep.StartRatio(2)
+    r0 = learner.ratio
+    ratios = drive(learner, lambda r: 1000 + 1000 * abs(int(np.log2(4.0 * r / r0))), 200)
+    assert learner.ratio == r0 / 4.0 and ratios[-1] in (r0 / 8.0, r0 / 4.0, r0 / 2.0)
+    # no learning from a solve without PDHG sweeps
+    state = dict(vars(learner))
+    learner.propose()
+    learner.learn(0)
+    assert vars(learner) == dict(state, trial=learner.trial)
+
+
+# ---------------------------------------------------------------------------
 # parameters and failure modes
 # ---------------------------------------------------------------------------
 
