@@ -7,11 +7,12 @@ alternately on two commits, for every workload.
 Run from the root of a grainflow git checkout.  Each side is a fresh copy of
 the commit's tracked files (``git archive``) in a temporary directory, so
 neither side runs from the working tree, and both copies hold the same
-files.  Every pair runs ``python3 perfbench/run.py --workload W --seed S
---seconds N --trace 0`` on both sides, the parent first in even pairs and the
-change first in odd ones; then ``--trace-pairs`` pairs run the same way with
-``--trace 1``.  A run that exits non-zero, or reports ``correct: false`` or a
-failed operation, stops the script.
+files.  For every workload of perfbench/workloads.py, every pair runs
+``python3 perfbench/run.py --workload W --trace 0`` on both sides, at the
+benchmark's own seed and run length, the parent first in even pairs and the
+change first in odd ones; then one pair runs with ``--trace 1``.  A run that
+exits non-zero, or reports ``correct: false`` or a failed operation, stops
+the script.
 
 The record holds every run's metrics, each side's median and quartiles
 (``statistics.quantiles(n=4, method='inclusive')``), the number of pairs
@@ -32,7 +33,11 @@ import tempfile
 
 import numpy as np
 
-WORKLOADS = ("grains2d", "logwell1d", "nusweep1d")
+sys.dont_write_bytecode = True  # import the workload list without writing into perfbench/
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                                "perfbench"))
+from workloads import BASE_SEED, WORKLOADS  # noqa: E402
+
 END_TO_END = ("wall_s", "setup_s", "peak_rss_mb")
 
 
@@ -50,11 +55,10 @@ def export(rev: str, dest: str) -> str:
     return commit
 
 
-def bench(root: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def bench(root: str, workload: str, trace: int) -> dict:
     """One perfbench/run.py run in root; returns its metrics by name."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", repr(seconds), "--trace", str(trace)]
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{root}: {' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr}")
@@ -64,12 +68,11 @@ def bench(root: str, workload: str, seed: int, seconds: float, trace: int) -> di
     return {name: round(m["value"], 4) for name, m in result["metrics"].items()}
 
 
-def alternate(roots: dict, workload: str, seed: int, seconds: float, trace: int,
-              pairs: int) -> list:
+def alternate(roots: dict, workload: str, trace: int, pairs: int) -> list:
     runs = []
     for i in range(pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        pair = {side: bench(roots[side], workload, seed, seconds, trace) for side in order}
+        pair = {side: bench(roots[side], workload, trace) for side in order}
         runs.append(pair)
         print(f"{workload} trace {trace} pair {i + 1}/{pairs}: "
               + ", ".join(f"{side} {pair[side].get('wall_s', pair[side].get('traced.wall_s')):.3f}"
@@ -98,17 +101,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", default="HEAD~1")
     parser.add_argument("--change", default="HEAD")
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
-    parser.add_argument("--seed", type=int, default=20240801)
-    parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--trace-pairs", type=int, default=1)
     parser.add_argument("--note", action="append", default=[],
                         help="a line of text for the record's notes (repeatable)")
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
-    if args.pairs < 1 or args.trace_pairs < 0:
-        parser.error("--pairs must be at least 1 and --trace-pairs at least 0")
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
 
     with tempfile.TemporaryDirectory(prefix="bench_compare_") as tmp:
         roots = {side: os.path.join(tmp, side) for side in ("parent", "change")}
@@ -116,8 +115,7 @@ def main(argv=None) -> int:
         record = {
             "description": (
                 "Alternated parent/change runs of the unchanged `python3 perfbench/run.py "
-                f"--workload W --seed {args.seed} --seconds {args.seconds:g} --trace T`, "
-                "each side from a git archive of its commit, PYTHONDONTWRITEBYTECODE=1, "
+                "--workload W --trace T` at its default seed and run length, each side from a git archive of its commit, PYTHONDONTWRITEBYTECODE=1, "
                 "made by scripts/bench_compare.py. Pair i runs the parent first when i is "
                 "even and the change first when i is odd. Every run passed its output "
                 "checks (correct: true, failed: 0). Quartiles are "
@@ -130,13 +128,13 @@ def main(argv=None) -> int:
             "traced": {},
             "notes": args.note,
         }
-        for workload in args.workloads:
-            runs = alternate(roots, workload, args.seed, args.seconds, 0, args.pairs)
-            record["end_to_end"].append({"workload": workload, "seed": args.seed,
+        for workload in WORKLOADS:
+            runs = alternate(roots, workload, 0, args.pairs)
+            record["end_to_end"].append({"workload": workload, "seed": BASE_SEED,
                                          "summary": summary(runs, END_TO_END),
                                          "pairs": runs})
-        for workload in args.workloads if args.trace_pairs else ():
-            runs = alternate(roots, workload, args.seed, args.seconds, 1, args.trace_pairs)
+        for workload in WORKLOADS:
+            runs = alternate(roots, workload, 1, 1)
             record["traced"][workload] = {"summary": summary(runs, runs[0]["parent"]),
                                           "pairs": runs}
     with open(args.out, "w") as fh:

@@ -380,8 +380,7 @@ def estimate_c2_norm(spec: PotentialSpec, samples: int = 401) -> float:
 
 
 def estimate_c_star(spec: PotentialSpec, samples: int = 401) -> float:
-    """Sampled lower bound constant c* with gamma + g >= c* on [0,1]^2,
-    sampled in blocks of rows like :func:`estimate_c2_norm`."""
+    """Sampled lower bound constant c* with gamma + g >= c* on [0,1]^2."""
     return float(min(np.min(gamma_eval(spec, W) + g_eval(spec, W, E))
                      for W, E in _lattice_blocks(samples)))
 

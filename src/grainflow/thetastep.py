@@ -16,15 +16,14 @@ is the indicator of the ball |p| <= a when nu b = 0 and
 nu = 0 needs no smoothing.
 
 The step sizes are tau = r/||grad|| and sigma = 1/(r ||grad||), so that
-tau*sigma*||grad||^2 = 1.  r starts at ``start_ratio``, which the time loop
-learns across its steps (:class:`StartRatio`), by default at r0 = 1/8 in 1D
-and 1/16 in 2D.  Within a solve r adapts by one rule.  When the gap of the
-last iterate stalls (it fails to halve over a window of 5 certificates), r
-jumps down towards the plateau level the remaining gap calls for, with a floor
-at 1/4096 of the start.  A stall at the floor wraps r back to the start and
-doubles the window for the rest of the solve.  The doubling matters: with a
-fixed window the wrap-around can lock into a cycle between the start ratio
-and the floor that never gives either ratio the run it needs.
+tau*sigma*||grad||^2 = 1, with r = ``start_ratio`` (StartRatio) at the start.
+They adapt by one rule.  When the gap of the last iterate stalls (it fails to
+halve over a window of 5 certificates), r jumps down towards the plateau
+level the remaining gap calls for, with a floor at 1/4096 of the start.  A
+stall at the floor wraps r back to the start and doubles the window for the
+rest of the solve.  The doubling matters: with a fixed window the wrap-around
+can lock into a cycle between the start ratio and the floor that never gives
+either ratio the run it needs.
 
 The returned iterate is the truncated dual reconstruction
 
@@ -105,13 +104,13 @@ _R0 = {1: 0.125, 2: 0.0625}  # the default start ratio by grid dimension
 
 
 class StartRatio:
-    """The PDHG start ratio r that a run carries across its theta-steps.
-
-    Once ``wait`` solves at r have passed, a solve starts at 2r (or r/2), and
-    r takes that value when the solve needs fewer than 0.9x the moving average
-    (weight 1/4) of the sweeps at r; a failed trial doubles its direction's
-    wait, from 4 up to 64.  r stays in [r0/64, 8 r0] and is learned from the
-    sweep counts of solves that ran PDHG only, so runs stay reproducible."""
+    """The PDHG start ratio r a run carries across its theta-steps, from
+    r0 = 1/8 in 1D and 1/16 in 2D.  Once ``wait`` solves at r have passed, a
+    solve starts at 2r (or r/2), and r takes that value when the solve needs
+    fewer than 0.9x the moving average (weight 1/4) of the sweeps at r; a
+    failed trial doubles its direction's wait, from 4 up to 64.  r stays in
+    [r0/64, 8 r0] and learns only from the sweep counts of solves that ran
+    PDHG, so a Newton-certified 1D solve leaves it untouched."""
 
     def __init__(self, dim: int):
         self.r0 = self.ratio = _R0[dim]
