@@ -17,7 +17,14 @@ the script.
 The record holds every run's metrics, each side's median and quartiles
 (``statistics.quantiles(n=4, method='inclusive')``), the number of pairs
 in which the change read lower, and the machine: CPU count, Python and
-numpy versions.
+numpy versions.  Each end-to-end summary also says whether the change
+clears the bar BENCHMARK.json sets for that metric:
+
+- ``median_change``: (change median - parent median) / parent median;
+- ``claim_met``: the change is better in at least 9 of 10 pairs, and its
+  median is better than the parent's by more than the parent's IQR;
+- ``worse_than_bound``: the change's median is worse than the parent's by
+  more than the metric's ``bound`` (a fraction of the parent's median).
 """
 
 from __future__ import annotations
@@ -38,7 +45,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.p
                                 "perfbench"))
 from workloads import BASE_SEED, WORKLOADS  # noqa: E402
 
-END_TO_END = ("wall_s", "setup_s", "peak_rss_mb")
+with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                       "BENCHMARK.json")) as _fh:
+    END_TO_END = {m["name"]: m for m in json.load(_fh)["end_to_end"]}
 
 
 def git(*args) -> str:
@@ -94,7 +103,24 @@ def summary(runs: list, names) -> dict:
         lower = sum(c < p for p, c in zip(sides["parent"], sides["change"]))
         out[name] = {side: quartiles(v) for side, v in sides.items()}
         out[name]["change_lower_in"] = f"{lower} of {len(runs)}"
+        if name in END_TO_END:
+            out[name].update(verdict(sides, out[name], END_TO_END[name]))
     return out
+
+
+def verdict(sides: dict, entry: dict, metric: dict) -> dict:
+    """The summary fields that say whether the change clears the bar of
+    ``metric``, an end_to_end entry of BENCHMARK.json."""
+    parent, change = entry["parent"], entry["change"]
+    sign = 1.0 if metric["better"] == "lower" else -1.0
+    gain = sign * (parent["median"] - change["median"])  # > 0: the change is better
+    wins = sum(sign * (p - c) > 0 for p, c in zip(sides["parent"], sides["change"]))
+    pairs = len(sides["parent"])
+    return {
+        "median_change": round((change["median"] - parent["median"]) / parent["median"], 4),
+        "claim_met": wins >= 0.9 * pairs and gain > parent["q3"] - parent["q1"],
+        "worse_than_bound": -gain > metric["bound"] * parent["median"],
+    }
 
 
 def main(argv=None) -> int:

@@ -316,7 +316,10 @@ class OutputSink:
 
     def write_initial(self, state: PhaseState, energy):
         linf = float(np.abs(state.theta.values).max())
-        self.on_step(StepReport(0, 0.0, 0.0, 0.0, 0, 0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, linf), energy)
+        self.on_step(StepReport(step=0, t=0.0, diss_v=0.0, diss_theta=0.0, v_outer_iters=0,
+                                v_inner_iters=0, theta_iters=0, theta_start_ratio=0.0,
+                                duality_gap=0.0, contraction_ratio=0.0, box_violation=0.0,
+                                linf_in=0.0, linf_theta=linf), energy)
         self.on_snapshot(0, state)
 
     def on_step(self, rep: StepReport, energy):

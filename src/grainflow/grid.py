@@ -141,9 +141,13 @@ class Stencil:
     ``(dim, lead + n)`` buffer from :meth:`flux`, its field in
     ``buf[:, lead:]`` after ``lead = max(steps)`` zeros, so the divergence
     reads each shifted component straight from the buffer (at a row start the
-    stride-1 axis reads the previous row's far-boundary 0).  Axis differences
-    are summed, then scaled by 1/dx once.  Calls on one instance share the
-    scratch ``_tmp`` and ``_lap``: one thread at a time, and no views of them out.
+    stride-1 axis reads the previous row's far-boundary 0).  The buffer views
+    one flat array, ``lead`` zeros and then component after component: the
+    field is C-contiguous, and the lead entries of component k > 0 are the
+    far boundary of component k - 1, which a flux keeps at 0.  Axis
+    differences are summed, then scaled by 1/dx once.  Calls on one instance
+    share the scratch ``_tmp`` and ``_lap``: one thread at a time, and no
+    views of them out.
     With ``fields`` > 1 the n = fields * prod(shape) cells hold that many
     fields block after block; the mask wraps per block, the divergence reads
     a masked 0 at each block seam, and each block's result equals the
@@ -161,10 +165,29 @@ class Stencil:
         self.scale = self.mask * self.inv
         self._tmp = np.empty(self.n)
         self._lap = self.flux()
+        self._lap_div = self.bound_div(self._lap)
 
     def flux(self) -> np.ndarray:
-        """A zeroed ``(dim, lead + n)`` flux buffer."""
-        return np.zeros((self.dim, self.lead + self.n))
+        """A zeroed ``(dim, lead + n)`` flux buffer over one flat array."""
+        flat = np.zeros(self.lead + self.dim * self.n)
+        return np.ndarray((self.dim, self.lead + self.n), buffer=flat, strides=(8 * self.n, 8))
+
+    def bound_grad(self, out: np.ndarray):
+        """(f, grad): a zeroed field f of n cells with lead - 1 zeros after it,
+        and grad(scale), :meth:`grad` of f into out in one subtract on views
+        made once (the last row's axis-0 differences read those zeros, then
+        are masked; out[:, -1] is never written and must stay finite)."""
+        n, lead = self.n, self.lead
+        pad = np.zeros(n + lead - 1)
+        ahead = np.ndarray((self.dim, n - 1), buffer=pad, offset=8 * lead,
+                           strides=(8 * (self.steps[-1] - lead), 8))
+        here, diff = np.ndarray((self.dim, n - 1), buffer=pad, strides=(0, 8)), out[:, :-1]
+
+        def grad(scale):
+            np.subtract(ahead, here, out=diff)
+            np.multiply(out, scale, out=out)
+
+        return pad[:n], grad
 
     def grad(self, f: np.ndarray, out: np.ndarray, scale=None) -> np.ndarray:
         """out[k] = scale[k] (default: ``self.scale[k]``) times the forward
@@ -179,19 +202,26 @@ class Stencil:
         """out (n cells) = scale (default: 1/dx) times the summed backward
         differences of the flux ``buf[:, lead:]``, whose far-boundary entries
         must be 0; with the default this is the divergence."""
-        n, lead = self.n, self.lead
-        for k, s in enumerate(self.steps):
-            dst = out if k == 0 else self._tmp
-            np.subtract(buf[k, lead:], buf[k, lead - s:lead - s + n], out=dst)
-            if k:
-                out += dst
-        out *= self.inv if scale is None else scale
-        return out
+        return self.bound_div(buf)(out, self.inv if scale is None else scale)
+
+    def bound_div(self, buf: np.ndarray):
+        """:meth:`div` of buf as a function of (out, scale), on views made once."""
+        n, lead, tmp = self.n, self.lead, self._tmp  # no reference back to self
+        pairs = [(buf[k, lead:], buf[k, lead - s:lead - s + n]) for k, s in enumerate(self.steps)]
+
+        def div(out, scale):
+            np.subtract(*pairs[0], out=out)
+            for minuend, subtrahend in pairs[1:]:
+                out += np.subtract(minuend, subtrahend, out=tmp)
+            out *= scale
+            return out
+
+        return div
 
     def laplacian(self, f: np.ndarray, out: np.ndarray) -> np.ndarray:
         """out = div(grad f), with out a contiguous array of n cells."""
         self.grad(f.reshape(-1), self._lap[:, self.lead:])
-        self.div(self._lap, out.reshape(-1))
+        self._lap_div(out.reshape(-1), self.inv)
         return out
 
 

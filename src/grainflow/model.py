@@ -356,6 +356,8 @@ _LATTICE_ROWS = 16  # lattice rows sampled at a time: the peak memory of a model
 
 def _lattice_blocks(samples: int):
     """(W, E) blocks of the samples x samples lattice on [0,1]^2, by rows."""
+    if samples < 2:
+        raise ValueError("need at least a 2x2 sampling lattice")
     ws = np.linspace(0.0, 1.0, samples)
     return (np.meshgrid(ws[i:i + _LATTICE_ROWS], ws, indexing="ij")
             for i in range(0, samples, _LATTICE_ROWS))
@@ -366,8 +368,6 @@ def estimate_c2_norm(spec: PotentialSpec, samples: int = 401) -> float:
     points of |g|, the Euclidean gradient norm, and the spectral norm of the
     Hessian.  The spectral (operator) norm is what the contraction and
     dissipation constants require.  A max does not depend on the blocks."""
-    if samples < 2:
-        raise ValueError("need at least a 2x2 sampling lattice")
     top = 0.0
     for W, E in _lattice_blocks(samples):
         vals = np.abs(g_eval(spec, W, E))

@@ -8,8 +8,9 @@ The subproblem is the strictly convex minimization
 for any nu >= 0.  In 1D its dual has a tridiagonal SPD Hessian, and
 :func:`_dual_newton` solves it exactly in a few Newton steps.  In 2D, where
 that Hessian is singular, when alpha0 has zeros, and when the Newton answer
-misses the certificate below, the solver is a primal-dual hybrid gradient
-(PDHG) iteration, started from the Newton dual in the last case.  PDHG
+misses the certificate below, the solver is an over-relaxed primal-dual
+hybrid gradient (PDHG) iteration (:class:`_PdhgLoop`), started from the
+Newton dual in the last case.  PDHG
 dualizes the whole coupling term cellwise: the conjugate of a|q| + nu b |q|^2
 is the indicator of the ball |p| <= a when nu b = 0 and
 (|p| - a)_+^2 / (4 nu b) otherwise, so both regimes share one dual prox and
@@ -101,6 +102,7 @@ def _mobility_weights(v_new, model: ModelSpec):
 
 
 _R0 = {1: 0.125, 2: 0.0625}  # the default start ratio by grid dimension
+_RHO = 1.8  # over-relaxation of the PDHG sweep (_PdhgLoop), in (0, 2)
 
 
 class StartRatio:
@@ -165,7 +167,8 @@ def theta_step(theta_prev: ScalarField, v_new, model: ModelSpec, nu: float,
     gn = np.sqrt(grad_operator_norm_bound(grid))
     ratio0 = start_ratio if start_ratio is not None else _R0[grid.dim]
     ratio, min_ratio = ratio0, ratio0 / 4096.0
-    loop.set_steps(ratio / gn, 1.0 / (ratio * gn))
+    if chosen is None:
+        loop.set_steps(ratio / gn, 1.0 / (ratio * gn))
     gap_history = []
     window = 5
     while chosen is None and iters < params.max_iters:
@@ -225,21 +228,26 @@ def theta_step(theta_prev: ScalarField, v_new, model: ModelSpec, nu: float,
 
 
 class _PdhgLoop:
-    """The theta-problem on flat fields, with preallocated buffers: the fused
-    primal-dual iteration and its duality-gap certificate.
+    """The theta-problem on flat fields, with preallocated buffers: the
+    over-relaxed primal-dual iteration (Chambolle & Pock, Math. Program. 2016;
+    Condat, JOTA 2013) and its duality-gap certificate.
 
-    One sweep: p <- dualprox(p + sigma grad(tbar)); t <- dataprox(t + tau div p);
-    tbar <- 2t - t_prev.  The dual prox shrinks each cell magnitude to
-    min(|z|, (nb |z| + sigma a)/(nb + sigma)), which covers both the pure
-    ball projection (nb = 0) and the quadratic-conjugate case.  The dual p is
-    the ``(dim, n)`` field of a :class:`Stencil` flux buffer; its far-boundary
-    entries, which only ever multiply a zero gradient, are kept at 0.  Without
-    a warm dual, p starts at the dual prox (sigma = 1) of
-    a grad(t0)/|grad(t0)| + nb grad(t0).  The steps are set by
-    :meth:`set_steps`, before the first sweep and whenever the caller's stall
-    rule changes them; the loop holds the last iterate only.
+    One sweep, primal first, at the module constant rho = _RHO in (0, 2):
+    t~ = dataprox(t + tau div p); p~ = dualprox(p + sigma grad(2 t~ - t));
+    (t, p) <- (t, p) + rho ((t~, p~) - (t, p)).  The dual prox shrinks each
+    cell magnitude to min(|z|, (nb |z| + sigma a)/(nb + sigma)), which covers
+    both the pure ball projection (nb = 0) and the quadratic-conjugate case.
+    The dual p is the C-contiguous ``(dim, n)`` field of a :class:`Stencil`
+    flux buffer; its far-boundary entries, which only ever multiply a zero
+    gradient, are kept at 0.  Without a warm dual, p starts at the dual prox
+    (sigma = 1) of a grad(t0)/|grad(t0)| + nb grad(t0).  :meth:`set_steps`
+    sets the steps, folded with rho and the data prox into per-cell arrays
+    (t <- A t + B + S div p), before the first sweep and whenever the
+    caller's stall rule changes them; the loop holds the last iterate only.
 
-    :meth:`certify` takes the gap at the truncated dual reconstruction
+    :meth:`certify` first projects p onto the cells' balls |p| <= a where
+    nb = 0, which relaxation can leave, in place, and then takes the gap at
+    the truncated dual reconstruction
     t_hat = T_{-M}^{M}(t_rec), t_rec = t0 + h y/a0, y = div p, M = max|t0|
     (t_rec is the last iterate when a0 has zeros).  The Fenchel dual is
     D(p) = -sum[y t0 + h y^2/(2 a0)] - F*(p), where F* is the indicator of
@@ -260,10 +268,14 @@ class _PdhgLoop:
         self.h, self.vol = h, dx**st.dim
         self.linf = float(np.abs(self.t0).max())
         self.reconstructable = float(self.a0.min()) > 0.0
-        self.t, self.tbar = self.t0.copy(), self.t0.copy()
-        self.buf = st.flux()
+        # the ball of each cell where F* is an indicator (None: no such cell)
+        self.ball = self.aw if nb is None else (
+            np.where(self.nb > 0, np.inf, self.aw) if float(self.nb.min()) <= 0.0 else None)
+        self.aw_floor = np.maximum(self.aw, 1e-300)
+        self.t, self.buf = self.t0.copy(), st.flux()
         self.p = self.buf[:, st.lead:]
         self.g, self.sq = np.zeros((st.dim, n)), np.empty((st.dim, n))
+        self.tbar = None  # the sweep's buffers, bound by the first set_steps
         self.tmp, self.t_next = np.empty(n), np.empty(n)
         self.mag = self.sq[0] if st.dim == 1 else np.empty(n)  # 1D: |z| is taken in sq[0]
         if p is not None:
@@ -274,59 +286,67 @@ class _PdhgLoop:
         z = self.aw * g / np.where(mag > 0, mag, 1.0)
         if self.nb is not None:
             z += self.nb * g
-        self._dual_prox(z, self.aw, self.nb + 1.0 if self.nb is not None else None)
+        mag = self._magnitude(z)
+        cap = self.aw if self.nb is None else (self.nb * mag + self.aw) / (self.nb + 1.0)
+        np.multiply(z, np.minimum(mag, cap) / np.maximum(mag, 1e-300), out=self.p)
 
     def iterate(self):
         """The last (theta, dual) in grid shape."""
         return self.t.reshape(self.shape), self.p.reshape((self.st.dim,) + self.shape)
 
     def set_steps(self, tau, sigma):
-        self.tau_inv = tau * self.st.inv
+        if self.tbar is None:
+            self.tbar, self.grad_tbar = self.st.bound_grad(self.g)
+            self.div_p = self.st.bound_div(self.buf)
         coef = tau * self.a0 / self.h
-        self.denom = 1.0 + coef
-        self.c0 = coef * self.t0
+        self.A = (1.0 - _RHO) + _RHO / (1.0 + coef)
+        self.B = _RHO * coef * self.t0 / (1.0 + coef)
+        self.S = _RHO * tau * self.st.inv / (1.0 + coef)
         self.sig_scale = sigma * self.st.scale
-        self.sig_aw = sigma * self.aw
-        self.nb_sig = (self.nb + sigma) if self.nb is not None else None
+        if self.nb is None:
+            self.c, self.nbq = _RHO * self.aw, None
+        else:
+            self.nbq = _RHO * self.nb / (self.nb + sigma)
+            self.c = _RHO * sigma * self.aw / (self.nb + sigma)
 
     def _magnitude(self, z):
         """Cellwise |z| of a ``(dim, n)`` field, in ``self.mag``."""
         np.multiply(z, z, out=self.sq)
         if self.st.dim > 1:
-            np.add.reduce(self.sq, axis=0, out=self.mag)
+            np.add(self.sq[0], self.sq[1], out=self.mag)
         return np.sqrt(self.mag, out=self.mag)
 
-    def _dual_prox(self, z, sig_aw, nb_sig):
-        """p <- z with each cell magnitude shrunk to min(|z|, aw) when nb = 0,
-        else to min(|z|, (nb |z| + sig_aw)/nb_sig)."""
-        mag, tmp = self._magnitude(z), self.tmp
-        if self.nb is None:
-            np.minimum(mag, self.aw, out=tmp)
-        else:
-            np.multiply(self.nb, mag, out=tmp)
-            tmp += sig_aw
-            tmp /= nb_sig
-            np.minimum(mag, tmp, out=tmp)
-        np.maximum(mag, 1e-300, out=mag)
-        tmp /= mag  # scale factor
-        np.multiply(z, tmp, out=self.p)
-
     def advance(self, n_iters):
-        st, g = self.st, self.g
+        g, p, tbar, mag, tmp = self.g, self.p, self.tbar, self.mag, self.tmp
+        A, B, S, c, nbq = self.A, self.B, self.S, self.c, self.nbq
+        t, t_next = self.t, self.t_next
         for _ in range(n_iters):
-            # dual ascent
-            st.grad(self.tbar, g, self.sig_scale)
-            g += self.p
-            self._dual_prox(g, self.sig_aw, self.nb_sig)
-            # primal descent on the data term
-            t_next = st.div(self.buf, self.t_next, self.tau_inv)
-            t_next += self.t
-            t_next += self.c0
-            t_next /= self.denom
-            # extrapolation, then rotate buffers
-            np.add(t_next, t_next, out=self.tbar)
-            self.tbar -= self.t
-            self.t, self.t_next = t_next, self.t
+            # relaxed primal step t_next = t + rho (t~ - t), then 2 t~ - t
+            self.div_p(t_next, S)
+            np.multiply(A, t, out=tmp)
+            t_next += tmp
+            t_next += B
+            np.subtract(t_next, t, out=tbar)
+            tbar *= 2.0 / _RHO
+            tbar += t
+            # relaxed dual step p <- (1 - rho) p + rho dualprox(z), z in g
+            self.grad_tbar(self.sig_scale)
+            g += p
+            self._magnitude(g)
+            if nbq is None:  # rho dualprox(z) = z rho a / max(|z|, a)
+                np.maximum(mag, self.aw_floor, out=mag)
+                np.divide(c, mag, out=tmp)
+            else:  # z min(rho, (nbq |z| + c)/|z|)
+                np.multiply(nbq, mag, out=tmp)
+                tmp += c
+                np.maximum(mag, 1e-300, out=mag)
+                tmp /= mag
+                np.minimum(tmp, _RHO, out=tmp)
+            g *= tmp
+            p *= 1.0 - _RHO
+            p += g
+            t, t_next = t_next, t
+        self.t, self.t_next = t, t_next
 
     def _objective(self, t):
         """J(t) of the class docstring."""
@@ -366,8 +386,12 @@ class _PdhgLoop:
 
     def certify(self):
         """(t_hat, gap at t_rec, gap at t_hat, J(t_hat)) at the last iterate,
-        with t_hat in grid shape; the gaps are inf without a finite dual
-        value, and both are the gap at t_hat when a0 has zeros."""
+        with t_hat in grid shape, after projecting the dual onto its balls;
+        the gaps are inf without a finite dual value, and both are the gap at
+        t_hat when a0 has zeros."""
+        if self.ball is not None:
+            mag = np.maximum(self._magnitude(self.p), 1e-300, out=self.mag)
+            self.p *= np.minimum(self.ball / mag, 1.0)
         y = self.st.div(self.buf, self.tmp)
         t_rec = self.t0 + self.h * y / self.a0 if self.reconstructable else self.t
         t_hat = np.clip(t_rec, -self.linf, self.linf)

@@ -247,6 +247,18 @@ def test_energy_log_records_solver_fields(tmp_path):
         assert 0.0 <= row["contraction_ratio"] < 1.0
 
 
+def test_step0_row_by_column_name(tmp_path):
+    # the step-0 row holds the initial state's figures under their own names
+    cfg_path = write_cfg(tmp_path, BASE.format(out=tmp_path / "out"))
+    assert main(["run", "--config", cfg_path]) == 0
+    lines = (tmp_path / "out" / "energy.csv").read_text().splitlines()
+    row = dict(zip(lines[1].split(","), map(float, lines[2].split(","))))
+    theta0 = np.loadtxt(tmp_path / "out" / "step_000000_theta.csv", comments="#")
+    assert row["step"] == 0.0 and row["t"] == 0.0
+    assert row["linf_theta"] == float(np.abs(theta0).max()) > 0.0
+    assert row["theta_iters"] == row["theta_start_ratio"] == row["duality_gap"] == 0.0
+
+
 def test_run_command_deterministic(tmp_path):
     cfg_path = write_cfg(tmp_path, BASE.format(out=tmp_path / "a"))
     assert main(["run", "--config", cfg_path]) == 0

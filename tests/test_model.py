@@ -420,6 +420,13 @@ def test_constants_do_not_depend_on_the_lattice_blocks(spec, samples, monkeypatc
     assert constants() == chunked
 
 
+@pytest.mark.parametrize("samples", [0, 1])
+@pytest.mark.parametrize("estimate", [estimate_c2_norm, estimate_c_star])
+def test_constants_need_a_2x2_lattice(estimate, samples):
+    with pytest.raises(ValueError, match="need at least a 2x2 sampling lattice"):
+        estimate(G1, samples)
+
+
 @pytest.mark.parametrize("spec", [G1, G2, G3], ids=["g1", "g2", "g3"])
 def test_c_star_lower_bounds_double_well(spec, rng):
     c_star = estimate_c_star(spec)

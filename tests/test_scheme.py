@@ -322,6 +322,31 @@ def test_grains_96x96_first_step():
 
 
 # ---------------------------------------------------------------------------
+# the h -> 0 limit of the time-discrete scheme
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("nu", [0.0, 0.1])
+@pytest.mark.parametrize("setting", ["g1", "g2", "g3"])
+def test_final_state_converges_at_first_order_in_h(setting, nu):
+    # runs to one final time T = 20 h*/2 at h = h*/2, h*/4, h*/8 and h*/16:
+    # the RMS differences of successive final (w, eta, theta) halve with h
+    # (ratios 1.97-2.03); a v-step data term scaled as 1/sqrt(h) instead of
+    # 1/h gives ratios of 0.78-3.84
+    model, grid = model_for(setting), GridSpec(1, (64,), 1.0)
+    init = make_initial("random", grid, model, seed=20240801)
+    finals = []
+    for k in range(1, 5):
+        sink, n_steps = RecordingSink(), 10 * 2**k
+        run(init, model, SchemeParams(h=h_star(model) / 2**k, nu=nu, n_steps=n_steps,
+                                      record_every=n_steps), sink=sink)
+        state = sink.snapshots[-1][1]
+        finals.append(np.concatenate([state.w.values, state.eta.values, state.theta.values]))
+    rms = [float(np.sqrt(np.mean((a - b) ** 2))) for a, b in zip(finals, finals[1:])]
+    ratios = [a / b for a, b in zip(rms, rms[1:])]
+    assert all(abs(r - 2.0) <= 0.1 for r in ratios), ratios
+
+
+# ---------------------------------------------------------------------------
 # the sink: the one way run hands out states
 # ---------------------------------------------------------------------------
 

@@ -97,18 +97,17 @@ def test_energy_decrease_reported_nonnegative_up_to_gap(g1_model, rng):
 # ---------------------------------------------------------------------------
 
 def reference_sweeps(t0, a0, aw, nb, h, dx, tau, sigma, p, n_sweeps):
-    """The PDHG sweep written out with the slice reference; returns the
-    last (theta, dual)."""
-    t, tbar = t0.copy(), t0.copy()
+    """The over-relaxed PDHG sweep, primal first at the module's rho, written
+    out with the slice reference; returns the last (theta, dual)."""
+    rho, t, coef = thetastep._RHO, t0.copy(), tau * a0 / h
     for _ in range(n_sweeps):
-        z = [pc + sigma * gc for pc, gc in zip(p, grad_slices(tbar, dx))]
+        t_prox = (t + tau * div_slices(p, dx) + coef * t0) / (1.0 + coef)
+        z = [pc + sigma * gc for pc, gc in zip(p, grad_slices(2.0 * t_prox - t, dx))]
         mag = np.sqrt(sum(c**2 for c in z))
         target = np.minimum(mag, aw if nb is None else (nb * mag + sigma * aw) / (nb + sigma))
         scale = np.where(mag > 0, target / np.where(mag > 0, mag, 1.0), 0.0)
-        p = [c * scale for c in z]
-        coef = tau * a0 / h
-        t_new = (t + tau * div_slices(p, dx) + coef * t0) / (1.0 + coef)
-        t, tbar = t_new, 2.0 * t_new - t
+        t = t + rho * (t_prox - t)
+        p = [pc + rho * (c * scale - pc) for pc, c in zip(p, z)]
     return t, np.array(p)
 
 
@@ -154,7 +153,7 @@ def test_certificate_matches_reference_gap(g1_model, rng, shape, dx, nu):
     gn = np.sqrt(grad_operator_norm_bound(grid))
     ratio = 0.125 if grid.dim == 1 else 0.0625
     loop.set_steps(ratio / gn, 1.0 / (ratio * gn))
-    loop.advance(150)
+    loop.advance(75)  # relaxed sweeps: the 48-cell gaps are 2e-8 and 1.4e-7 here
     t_hat, gap_rec, gap_hat, j_hat = loop.certify()
 
     p = loop.iterate()[1]
@@ -179,6 +178,40 @@ def test_certificate_matches_reference_gap(g1_model, rng, shape, dx, nu):
     assert abs(gap_hat - (objective(want_hat) - dual)) <= tol
     assert abs(gap_rec - (objective(t_rec) - dual)) <= tol
     assert gap_rec > 1e-10 and gap_hat >= -tol  # not yet converged; weak duality
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.1])
+def test_dual_is_projected_onto_the_ball(g1_model, rng, nu):
+    # relaxed sweeps can carry the dual out of |p| <= a on the cells where
+    # F* is the ball's indicator: every cell at nu = 0, the cells with nb = 0
+    # (here every other one) at nu > 0.  certify projects it back in place,
+    # which keeps the gap finite, and the report's dual lies in the ball too
+    shape = (12, 9)
+    grid = GridSpec(2, shape, 1.0)
+    h = bench_h(g1_model)
+    v = random_admissible_v(grid, g1_model, rng)
+    a0, aw, bw = (np.broadcast_to(c, shape) for c in _mobility_weights(v, g1_model))
+    nb = np.where(np.arange(bw.size).reshape(shape) % 2 == 0, 0.0, 2.0 * nu * bw) if nu else None
+    ball = np.ones(shape, bool) if nb is None else nb == 0.0
+    theta0 = ScalarField(grid, 0.8 * np.tanh(rng.normal(size=shape)))
+    loop = _PdhgLoop(theta0.values, a0, aw, nb, h, grid.dx)
+    gn = np.sqrt(grad_operator_norm_bound(grid))
+    loop.set_steps(0.0625 / gn, 1.0 / (0.0625 * gn))
+
+    def magnitude(p):
+        return np.sqrt(sum(c**2 for c in p))
+
+    for _ in range(20):
+        loop.advance(1)
+        if np.any((magnitude(loop.iterate()[1]) > aw * (1.0 + 1e-6))[ball]):
+            break
+    else:
+        pytest.fail("20 relaxed sweeps stayed inside the ball")
+    assert np.isfinite(loop.certify()[1])
+    assert np.all((magnitude(loop.iterate()[1]) <= aw * (1.0 + 1e-14))[ball])
+    if nb is None:
+        _, rep = theta_step(theta0, v, g1_model, 0.0, ThetaStepParams(h=h))
+        assert np.all(magnitude(rep.dual) <= aw * (1.0 + 1e-14))
 
 
 # ---------------------------------------------------------------------------
