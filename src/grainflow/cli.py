@@ -46,10 +46,11 @@ is flat sectioned key-value text::
     n_probes = 20           # v-steps measured by probe-contraction
 
 Lines starting with ``#`` and inline ``#`` comments are ignored; values may
-be quoted.  A key may be given once per section, even across repeated
-headers of that section.  Subcommands: run, verify, sweep-nu,
-probe-contraction.  A config is valid or invalid whatever the subcommand:
-every value is read and checked before anything is written.  Exit status:
+be quoted, and a quote must close, with the mark that opened it, before any
+``#``.  A key may be given once per section, even across repeated headers of
+that section.  Subcommands: run, verify, sweep-nu, probe-contraction.  A
+config is valid or invalid whatever the subcommand: every value is read and
+checked before anything is written.  Exit status:
 0 ok, 1 a check failed, 2 config error (the message names the key), 3 any
 other error.
 """
@@ -181,6 +182,9 @@ def parse_config(path) -> RunConfig:
                 raise ConfigError(f"{path}:{lineno}: {current}.{key} given twice "
                                   f"(first at line {first_line[current, key]})")
             first_line[current, key] = lineno
+            if value[:1] in ("'", '"') and (len(value) < 2 or value[-1] != value[0]):
+                raise ConfigError(f"{path}:{lineno}: {current}.{key}: the quote in {value!r} "
+                                  "is not closed (a '#' starts a comment even inside quotes)")
             sections[current][key] = value.strip("\"'")
     return RunConfig(sections, path=str(path))
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import PhaseState, ScalarField, dirichlet_energy, grad_arrays, sq_norm_arrays
+from .grid import PhaseState, ScalarField, dirichlet_energy, stencil
 from .model import ModelSpec, gamma_eval
 
 __all__ = ["EnergyBreakdown", "free_energy", "phi_nu"]
@@ -52,7 +52,7 @@ class EnergyBreakdown:
 def _phi_terms(w: np.ndarray, eta: np.ndarray, theta: np.ndarray, model: ModelSpec,
                nu: float, dx: float, dim: int):
     _, a, b, _, _ = model.mobilities(w, eta)
-    sq = sq_norm_arrays(grad_arrays(theta, dx))
+    sq = stencil(theta.shape, dx).sq_grad(theta)
     vol = dx**dim
     wtv = float(np.sum(a * np.sqrt(sq))) * vol
     nu_dir = nu * float(np.sum(b * sq)) * vol if nu != 0.0 else 0.0

@@ -8,7 +8,8 @@ negative adjoint, so the discrete integration-by-parts identity
     sum(grad(f) * p) = -sum(f * div(p))
 
 holds to machine precision for every flux p that is 0 on the far boundary.
-All integrals are cell sums times ``dx**dim``.
+The cached :func:`stencil` gives the package one :class:`Stencil`, scratch
+included, per (shape, dx, fields).  All integrals are cell sums times ``dx**dim``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ __all__ = [
     "grad_operator_norm_bound",
     "save_field",
     "save_field_raw",
-    "Stencil",
+    "stencil",
 ]
 
 
@@ -100,54 +101,22 @@ class PhaseState:
         return PhaseState(self.w.copy(), self.eta.copy(), self.theta.copy())
 
 
-# ---------------------------------------------------------------------------
-# array-level kernels: the solvers run on Stencil, the wrappers on a cached one
-# ---------------------------------------------------------------------------
-
-@functools.lru_cache(maxsize=64)
-def _stencil(shape: tuple, dx: float) -> Stencil:
-    return Stencil(shape, dx)
-
-
-def grad_arrays(values: np.ndarray, dx: float):
-    """Forward-difference gradient per axis; last slice along each axis is 0."""
-    st = _stencil(values.shape, dx)
-    out = st.grad(values.reshape(-1), np.zeros((st.dim, st.n)))
-    return list(out.reshape((st.dim,) + values.shape))
-
-
-def sq_norm_arrays(comps) -> np.ndarray:
-    """Cellwise squared Euclidean norm of a vector field's components."""
-    sq = comps[0] ** 2
-    for c in comps[1:]:
-        sq += c**2
-    return sq
-
-
-def grad_norm_arrays(values: np.ndarray, dx: float) -> np.ndarray:
-    """Euclidean cell norm |grad f| of the forward-difference gradient."""
-    comps = grad_arrays(values, dx)
-    if len(comps) == 1:
-        return np.abs(comps[0])
-    return np.sqrt(comps[0] ** 2 + comps[1] ** 2)
-
-
 class Stencil:
     """The package's one discrete gradient and divergence (its negative
     adjoint), on flat C-order fields of n cells, with buffers for the solver
-    loops; :func:`grad_arrays` runs on a cached instance.  The difference
-    along axis k is one subtract at flat stride ``steps[k]``; ``mask`` zeroes
-    each component's far boundary (``scale`` is mask/dx).  A flux lives in a
-    ``(dim, lead + n)`` buffer from :meth:`flux`, its field in
+    loops; :func:`stencil` keeps one per (shape, dx, fields) for every caller.
+    The difference along axis k is one subtract at flat stride ``steps[k]``;
+    ``mask`` zeroes each component's far boundary (``scale`` is mask/dx).  A
+    flux lives in a ``(dim, lead + n)`` buffer from :meth:`flux`, its field in
     ``buf[:, lead:]`` after ``lead = max(steps)`` zeros, so the divergence
     reads each shifted component straight from the buffer (at a row start the
     stride-1 axis reads the previous row's far-boundary 0).  The buffer views
     one flat array, ``lead`` zeros and then component after component: the
     field is C-contiguous, and the lead entries of component k > 0 are the
     far boundary of component k - 1, which a flux keeps at 0.  Axis
-    differences are summed, then scaled by 1/dx once.  Calls on one instance
-    share the scratch ``_tmp`` and ``_lap``: one thread at a time, and no
-    views of them out.
+    differences are summed, then scaled by 1/dx once.  The callers of one
+    instance share its scratch ``_tmp`` and ``_lap``, which hold nothing
+    between calls: one thread at a time, and no views of them out.
     With ``fields`` > 1 the n = fields * prod(shape) cells hold that many
     fields block after block; the mask wraps per block, the divergence reads
     a masked 0 at each block seam, and each block's result equals the
@@ -224,11 +193,24 @@ class Stencil:
         self._lap_div(out.reshape(-1), self.inv)
         return out
 
+    def sq_grad(self, f: np.ndarray) -> np.ndarray:
+        """A fresh array of the cellwise |grad f|^2, in f's shape."""
+        g = self.grad(f.reshape(-1), np.zeros((self.dim, self.n)))
+        return np.add.reduce(g * g).reshape(f.shape)
+
+
+@functools.lru_cache(maxsize=64)
+def stencil(shape: tuple, dx: float, fields: int = 1) -> Stencil:
+    """The package's one :class:`Stencil` for (shape, dx, fields); give
+    fields positionally or not at all, since the cache keys on the call."""
+    return Stencil(shape, dx, fields)
+
 
 def dirichlet_energy(f: ScalarField) -> float:
     """(1/2) sum |grad f|^2 dx**dim."""
-    comps = grad_arrays(f.values, f.grid.dx)
-    s = sum(float(np.vdot(c, c)) for c in comps)
+    st = stencil(f.grid.shape, f.grid.dx)
+    g = st.grad(f.values.reshape(-1), np.zeros((st.dim, st.n)))
+    s = sum(float(np.vdot(c, c)) for c in g)
     return 0.5 * s * f.grid.cell_volume
 
 

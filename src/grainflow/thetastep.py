@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .energy import phi_nu
-from .grid import ScalarField, Stencil, grad_arrays, grad_operator_norm_bound
+from .grid import ScalarField, grad_operator_norm_bound, stencil
 from .model import ModelSpec, SolverError, require_finite
 
 __all__ = [
@@ -253,15 +253,16 @@ class _PdhgLoop:
     D(p) = -sum[y t0 + h y^2/(2 a0)] - F*(p), where F* is the indicator of
     |p| <= a (nb = 0) or sum (|p| - a)_+^2 / (2 nb), and the primal
     J(t) = (1/2h) sum a0 (t - t0)^2 + sum a |grad t| + (1/2) sum nb |grad t|^2,
-    all times the cell volume; gap = J - D >= 0 bounds J - min J.  div p and
-    grad t come from the stencil, into the loop's buffers.  The quadratic term
-    stays (1/2) sum nb |grad t|^2, not the energy's nu sum b |grad t|^2: the
-    two round differently, and the gap decides when a solve stops.
+    all times the cell volume; gap = J - D >= 0 bounds J - min J.  div p comes
+    from the stencil into the loop's buffers, |grad t|^2 from its sq_grad.  The
+    quadratic term stays (1/2) sum nb |grad t|^2, not the energy's
+    nu sum b |grad t|^2: the two round differently, and the gap decides when a
+    solve stops.
     """
 
     def __init__(self, t0, a0, aw, nb, h, dx, p=None):
         self.shape = t0.shape
-        self.st = st = Stencil(t0.shape, dx)
+        self.st = st = stencil(t0.shape, dx)
         n = st.n
         self.t0, self.a0, self.aw = (np.reshape(a, n) for a in (t0, a0, aw))
         self.nb = np.reshape(nb, n) if nb is not None else None
@@ -352,9 +353,7 @@ class _PdhgLoop:
         """J(t) of the class docstring."""
         d = t - self.t0
         data = 0.5 / self.h * float(np.vdot(self.a0 * d, d).real) * self.vol
-        g = self.st.grad(t, self.g)
-        np.multiply(g, g, out=self.sq)
-        sq = np.add.reduce(self.sq, axis=0, out=self.mag) if self.st.dim > 1 else self.sq[0]
+        sq = self.st.sq_grad(t)
         j = data + float(np.sum(self.aw * np.sqrt(sq))) * self.vol
         if self.nb is not None:
             j += 0.5 * float(np.sum(self.nb * sq)) * self.vol
@@ -498,14 +497,9 @@ def _dual_value(x, st, buf, w, t0, aw, nb):
 
 def _dense_difference_ops(grid):
     """Dense matrices of the per-axis forward differences (for Newton)."""
-    n = grid.n_cells
-    eye = np.eye(n)
-    mats = []
-    for ax in range(grid.dim):
-        cols = [grad_arrays(eye[:, j].reshape(grid.shape), grid.dx)[ax].ravel()
-                for j in range(n)]
-        mats.append(np.array(cols).T)
-    return mats
+    st = stencil(grid.shape, grid.dx)
+    cols = [st.grad(e, np.zeros((st.dim, st.n))) for e in np.eye(st.n)]
+    return [np.array([c[ax] for c in cols]).T for ax in range(st.dim)]
 
 
 def _theta_objective(theta: ScalarField, theta0: ScalarField, v, model, nu, h) -> float:

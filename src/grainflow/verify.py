@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .energy import phi_nu
-from .grid import GridSpec, PhaseState, ScalarField, grad_arrays, sq_norm_arrays
+from .grid import GridSpec, PhaseState, ScalarField, stencil
 from .model import ModelSpec, MobilityKind, MobilitySpec, Potential, PotentialSpec
 from .scheme import SchemeParams, Trajectory, h_star, run
 from .thetastep import ThetaStepParams, _theta_objective, oracle_theta_min, theta_step
@@ -125,7 +125,7 @@ def check_gamma_sandwich(model: ModelSpec, nu: float, n_samples: int = 100,
     for _ in range(n_samples):
         w, e = random_admissible_v(grid, model, rng, full_unit_box=True)
         theta = random_smooth_field(grid, rng, amplitude=1.0)
-        sq = sq_norm_arrays(grad_arrays(theta.values, grid.dx))
+        sq = stencil(grid.shape, grid.dx).sq_grad(theta.values)
         dir_sum = float(np.sum(sq)) * grid.cell_volume
         p0 = phi_nu((w, e), theta, model, 0.0)
         pn = phi_nu((w, e), theta, model, nu)

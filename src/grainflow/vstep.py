@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, ScalarField, Stencil, grad_norm_arrays, grad_operator_norm_bound
+from .grid import ScalarField, grad_operator_norm_bound, stencil
 from .model import ModelSpec, SolverError, require_finite
 
 __all__ = [
@@ -55,33 +55,24 @@ class InnerNoConvergence(SolverError):
 
 @dataclass
 class VStepParams:
-    """Tolerances are finite, positive, absolute discrete-L2 values; when left
-    None they are scaled at call time to 1e-10*sqrt(|Omega|) (outer) and
-    1e-12*sqrt(|Omega|) (inner).  The fused policy stops on inner_tol and
-    max_inner alone."""
+    """inner_tol is a finite, positive, absolute discrete-L2 value; when left
+    None it is scaled at call time to 1e-12*sqrt(|Omega|).  The Picard outer
+    loop stops at a difference of 1e-10*sqrt(|Omega|); the fused policy stops
+    on inner_tol and max_inner alone."""
 
     h: float
-    outer_tol: float = None
     inner_tol: float = None
     max_outer: int = 200
     max_inner: int = 100_000
 
     def __post_init__(self):
-        require_finite(self, "h", *(name for name in ("outer_tol", "inner_tol")
-                                    if getattr(self, name) is not None))
+        require_finite(self, "h", *(("inner_tol",) if self.inner_tol is not None else ()))
         if not self.h > 0:
             raise ValueError("time step h must be positive")
-        for tol in (self.outer_tol, self.inner_tol):
-            if tol is not None and not tol > 0:
-                raise ValueError("tolerances must be positive")
+        if self.inner_tol is not None and not self.inner_tol > 0:
+            raise ValueError("inner_tol must be positive")
         if not (self.max_outer >= 1 and self.max_inner >= 1):
             raise ValueError("max_outer and max_inner must be at least 1")
-
-    def resolved_tols(self, grid: GridSpec):
-        scale = np.sqrt(grid.volume)
-        outer = self.outer_tol if self.outer_tol is not None else 1e-10 * scale
-        inner = self.inner_tol if self.inner_tol is not None else 1e-12 * scale
-        return outer, inner
 
 
 @dataclass
@@ -115,11 +106,15 @@ def v_step(v_prev, theta_prev: ScalarField, model: ModelSpec, nu: float,
     grid = theta_prev.grid
     dx, vol = grid.dx, grid.cell_volume
     h = params.h
-    outer_tol, inner_tol = params.resolved_tols(grid)
+    scale = np.sqrt(grid.volume)
+    inner_tol = params.inner_tol if params.inner_tol is not None else 1e-12 * scale
 
     v = v_prev = _stack(v_prev)
 
-    q1 = grad_norm_arrays(theta_prev.values, dx)
+    # |grad theta_prev|, in 1D as |x|: sqrt(x*x) loses an x whose square underflows
+    st = stencil(grid.shape, dx)
+    q1 = (np.abs(st.grad(theta_prev.values, np.zeros((1, st.n)))[0]) if grid.dim == 1
+          else np.sqrt(st.sq_grad(theta_prev.values)))
     q2 = nu * q1**2 if nu != 0.0 else None
 
     mob = model.mobility
@@ -129,13 +124,14 @@ def v_step(v_prev, theta_prev: ScalarField, model: ModelSpec, nu: float,
         lip += float(q2.max()) * mob.beta_curvature_bound
     tau = 1.0 / lip
 
-    stencil = Stencil(grid.shape, dx, fields=2)
-    loop_args = (q1, q2, model, h, tau, stencil, vol, inner_tol, params.max_inner)
+    loop_args = (q1, q2, model, h, tau, stencil(grid.shape, dx, 2), vol, inner_tol,
+                 params.max_inner)
 
     if fused:
         v, inner_total, ratio = _inner_prox_gradient(v, v_prev, None, *loop_args)
         outer_iters = inner_total
     else:
+        outer_tol = 1e-10 * scale
         ratio_floor = _ratio_floor(inner_tol)
         ratio = prev_diff = 0.0
         inner_total = 0
@@ -184,7 +180,7 @@ def v_step(v_prev, theta_prev: ScalarField, model: ModelSpec, nu: float,
 
 
 def _inner_prox_gradient(v, v_prev, g_frozen, q1, q2, model: ModelSpec, h, tau,
-                         stencil, vol, inner_tol, max_inner):
+                         st, vol, inner_tol, max_inner):
     """Proximal gradient on the stacked pair v with the coupling frozen at
     g_frozen, or, when g_frozen is None, refreshed at grad_g(clip(v, 0, 1))
     in every iteration.  gamma acts on w (row 0) only, so eta takes plain
@@ -202,7 +198,7 @@ def _inner_prox_gradient(v, v_prev, g_frozen, q1, q2, model: ModelSpec, h, tau,
     for j in range(max_inner):
         np.subtract(v, v_prev, out=g)
         g *= inv_h
-        g -= stencil.laplacian(v, lap)
+        g -= st.laplacian(v, lap)
         if g_frozen is None:
             gw, ge = model.grad_g(*np.clip(v, 0.0, 1.0, out=vc))
             g[0] += gw

@@ -49,6 +49,20 @@ def test_stencil_is_the_only_difference_operator():
     assert found == []
 
 
+def test_stencils_come_from_the_cached_constructor():
+    # grid.stencil, one instance per (shape, dx, fields), is the package's
+    # only call of Stencil(...)
+    calls = []
+    for path in sorted(Path(grainflow.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scope = {id(n): d.name for d in ast.walk(tree) if isinstance(d, ast.FunctionDef)
+                 for n in ast.walk(d)}
+        calls += [f"{path.name}:{scope.get(id(n))}" for n in ast.walk(tree)
+                  if isinstance(n, ast.Call) and "Stencil" in (getattr(n.func, "id", None),
+                                                               getattr(n.func, "attr", None))]
+    assert calls == ["grid.py:stencil"]
+
+
 def test_grid_exports_have_program_callers():
     # every name grid.py exports is used by the program itself, by another
     # module of the package or by the benchmark, and not only by tests.  A

@@ -168,6 +168,22 @@ def test_repeated_key_is_a_config_error(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("value", ['"out#1"', "'out\"", '"out', "'"])
+def test_unclosed_quote_is_a_config_error(tmp_path, value):
+    # a '#' inside quotes starts a comment, so "out#1" would silently read as
+    # "out"; a quote that does not close with its own mark is an error
+    text = BASE.format(out=value.replace("out", str(tmp_path / "out")))
+    line = next(n for n, t in enumerate(text.splitlines(), start=1)
+                if t.startswith("directory ="))
+    path = write_cfg(tmp_path, text, name="q.cfg")
+    with pytest.raises(ConfigError, match=rf"q\.cfg:{line}: output\.directory: the quote "):
+        parse_config(path)
+    assert main(["run", "--config", path]) == 2
+    assert not (tmp_path / "out").exists()
+    closed = parse_config(write_cfg(tmp_path, BASE.format(out="'a b'  # c")))
+    assert closed.get("output", "directory") == "a b"
+
+
 def test_digest_ignores_output_and_seed(tmp_path):
     a = parse_config(write_cfg(tmp_path, BASE.format(out="/tmp/a")))
     b = parse_config(write_cfg(tmp_path, BASE.format(out="/tmp/b"), name="b.cfg"))

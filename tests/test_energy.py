@@ -17,7 +17,7 @@ from grainflow import (
 )
 from grainflow.verify import random_admissible_v, random_smooth_field
 
-from slice_reference import tv_slices
+from slice_reference import grad_slices, tv_slices
 
 
 def constant_state(grid, w, e, th):
@@ -88,9 +88,7 @@ def test_phi_nu_difference_identity(g1_model, rng):
         p0 = phi_nu(v, theta, g1_model, 0.0)
         pn = phi_nu(v, theta, g1_model, nu)
         _, _, b, _, _ = g1_model.mobilities(v[0].values, v[1].values)
-        from grainflow.grid import grad_arrays
-
-        comps = grad_arrays(theta.values, grid.dx)
+        comps = grad_slices(theta.values, grid.dx)
         quad = nu * float(np.sum(b * sum(c**2 for c in comps))) * grid.cell_volume
         assert pn - p0 == pytest.approx(quad, rel=1e-12)
 
@@ -100,12 +98,10 @@ def test_phi_nu_sandwich(g1_model, rng):
     nu = 0.1
     d1 = g1_model.mobility.delta1
     d_up = g1_model.mobility.delta_star(1.0)
-    from grainflow.grid import grad_arrays
-
     for _ in range(30):
         v = random_admissible_v(grid, g1_model, rng, full_unit_box=True)
         theta = random_smooth_field(grid, rng, 1.0)
-        comps = grad_arrays(theta.values, grid.dx)
+        comps = grad_slices(theta.values, grid.dx)
         dir_sum = float(np.sum(sum(c**2 for c in comps))) * grid.cell_volume
         p0 = phi_nu(v, theta, g1_model, 0.0)
         pn = phi_nu(v, theta, g1_model, nu)

@@ -15,15 +15,7 @@ from grainflow import (
     grad_operator_norm_bound,
     phi_nu,
 )
-from grainflow.grid import (
-    Stencil,
-    _stencil,
-    grad_arrays,
-    grad_norm_arrays,
-    save_field,
-    save_field_raw,
-    sq_norm_arrays,
-)
+from grainflow.grid import Stencil, save_field, save_field_raw, stencil
 
 from slice_reference import div_slices, grad_slices, laplacian_slices, tv_slices
 
@@ -224,28 +216,30 @@ def test_stacked_stencil_rows_match_single_field(shape, dx, rng):
 @pytest.mark.parametrize("shape", STENCIL_SHAPES)
 @pytest.mark.parametrize("dx", [1.0, 0.3])
 def test_array_wrappers_match_slice_reference(shape, dx, rng):
+    # Stencil.sq_grad, which returns a fresh field, on the cached stencil:
+    # bitwise the squared slice-reference gradient, in the input's shape
     f = rng.normal(size=shape)
-    ref = grad_slices(f, dx)
-    grad = grad_arrays(f, dx)
-    assert all(np.array_equal(g, r) for g, r in zip(grad, ref))
-    sq = sum(r**2 for r in ref)
-    assert np.array_equal(sq_norm_arrays(grad), sq)
-    assert np.array_equal(grad_norm_arrays(f, dx), np.sqrt(sq))
+    sq = sum(r**2 for r in grad_slices(f, dx))
+    assert np.array_equal(stencil(shape, dx).sq_grad(f), sq)
+    assert np.array_equal(stencil(shape, dx).sq_grad(f.ravel()), sq.ravel())
 
 
 @pytest.mark.parametrize("shape", [(6,), (4, 5)])
 def test_array_wrappers_return_fresh_arrays(shape, rng):
-    # grad_arrays shares one cached stencil per (shape, dx); nothing it
-    # returns may alias the stencil's scratch buffers or an earlier result
-    st = _stencil(shape, 0.5)
+    # stencil() shares one instance per (shape, dx, fields); nothing sq_grad
+    # returns may alias that instance's scratch buffers, its input or an
+    # earlier result, and the input stays untouched
+    st = stencil(shape, 0.5)
+    assert stencil(shape, 0.5) is st and stencil(shape, 0.5, 2) is not st
     f = rng.normal(size=shape)
     f_copy = f.copy()
-    outs = grad_arrays(f, 0.5)
-    kept = [o.copy() for o in outs]
-    for o in outs:
-        assert not np.shares_memory(o, st._tmp) and not np.shares_memory(o, st._lap)
-    grad_arrays(rng.normal(size=shape), 0.5)
-    assert all(np.array_equal(o, k) for o, k in zip(outs, kept))
+    out = st.sq_grad(f)
+    kept = out.copy()
+    for buf in (st._tmp, st._lap, f):
+        assert not np.shares_memory(out, buf)
+    st.sq_grad(rng.normal(size=shape))
+    st.laplacian(rng.normal(size=shape), np.empty(shape))
+    assert np.array_equal(out, kept)
     assert np.array_equal(f, f_copy)
 
 

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import os
 
@@ -27,6 +28,7 @@ from grainflow import (
 from grainflow.cli import (_initial_state, build_grid, build_model, build_scheme_params,
                            make_initial, parse_config)
 from grainflow import scheme
+from grainflow.grid import Stencil, stencil
 from grainflow.verify import check_dissipation
 from grainflow.vstep import InnerNoConvergence, v_step
 from conftest import RecordingSink, model_for
@@ -230,6 +232,24 @@ def test_run_calls_the_fused_v_step_by_its_module_name(g1_model, monkeypatch):
     traj = run(make_initial("random", grid, g1_model, seed=7), g1_model, params)
     assert calls == [{"fused": True}] * 4
     assert all(r.v_outer_iters == r.v_inner_iters >= 1 for r in traj.reports)
+
+
+def test_run_builds_each_stencil_once(g1_model, monkeypatch):
+    # the v-step and the theta-step share grid.stencil's cached instances
+    # instead of building a stencil per step
+    built = collections.Counter()
+    init = Stencil.__init__
+
+    def counted(self, shape, dx, fields=1):
+        built[tuple(shape), dx, fields] += 1
+        init(self, shape, dx, fields)
+
+    monkeypatch.setattr(Stencil, "__init__", counted)
+    stencil.cache_clear()
+    g = GridSpec(2, (8, 8), 1.0)
+    params = SchemeParams(h=0.5 * h_star(g1_model), nu=0.0, n_steps=100, record_every=100)
+    run(make_initial("grains", g, g1_model, seed=3), g1_model, params)
+    assert built == {((8, 8), 1.0, 1): 1, ((8, 8), 1.0, 2): 1}
 
 
 # ---------------------------------------------------------------------------

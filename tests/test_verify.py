@@ -146,7 +146,7 @@ def test_nu_limit_study_passes_solver_tolerances(g1_model, monkeypatch):
     grid = GridSpec(1, (16,), 1.0)
     init = make_initial("random", grid, g1_model, seed=1)
     h = 0.5 * h_star(g1_model)
-    vparams = VStepParams(h=h, outer_tol=1e-6, inner_tol=1e-7)
+    vparams = VStepParams(h=h, inner_tol=1e-7)
     tparams = ThetaStepParams(h=h, gap_tol=1e-6)
     params = SchemeParams(h=h, nu=0.5, n_steps=2, vstep=vparams, thetastep=tparams)
     seen = []
@@ -159,7 +159,7 @@ def test_nu_limit_study_passes_solver_tolerances(g1_model, monkeypatch):
     nu_limit_study(init, g1_model, [0.5, 0.05], params)
     assert [p.nu for p in seen] == [0.5, 0.05]
     for p in seen:
-        assert (p.vstep.outer_tol, p.vstep.inner_tol) == (1e-6, 1e-7)
+        assert p.vstep.inner_tol == 1e-7
         assert p.thetastep.gap_tol == 1e-6
 
 
