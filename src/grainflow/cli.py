@@ -47,10 +47,11 @@ is flat sectioned key-value text::
 
 Lines starting with ``#`` and inline ``#`` comments are ignored; values may
 be quoted, and a quote must close, with the mark that opened it, before any
-``#``.  A key may be given once per section, even across repeated headers of
-that section.  Subcommands: run, verify, sweep-nu, probe-contraction.  A
-config is valid or invalid whatever the subcommand: every value is read and
-checked before anything is written.  Exit status:
+``#``; only that pair is stripped, and a value may not end in a quote it did
+not open.  A key may be given once per section, even across repeated
+headers of that section.  Subcommands: run, verify, sweep-nu,
+probe-contraction.  A config is valid or invalid whatever the subcommand:
+every value is read and checked before anything is written.  Exit status:
 0 ok, 1 a check failed, 2 config error (the message names the key), 3 any
 other error.
 """
@@ -72,7 +73,6 @@ from .grid import GridSpec, PhaseState, ScalarField, save_field, save_field_raw
 from .model import MobilityKind, MobilitySpec, ModelSpec, Potential, PotentialSpec
 from .scheme import (HGateError, SchemeParams, StepReport, h_star, outside_hypotheses,
                      run as scheme_run, validate_initial)
-from .thetastep import ThetaStepParams
 from .verify import (
     check_box,
     check_dissipation,
@@ -182,10 +182,11 @@ def parse_config(path) -> RunConfig:
                 raise ConfigError(f"{path}:{lineno}: {current}.{key} given twice "
                                   f"(first at line {first_line[current, key]})")
             first_line[current, key] = lineno
-            if value[:1] in ("'", '"') and (len(value) < 2 or value[-1] != value[0]):
-                raise ConfigError(f"{path}:{lineno}: {current}.{key}: the quote in {value!r} "
-                                  "is not closed (a '#' starts a comment even inside quotes)")
-            sections[current][key] = value.strip("\"'")
+            quoted = value[:1] in ("'", '"')
+            if (quoted or value[-1:] in ("'", '"')) and (len(value) < 2 or value[-1] != value[0]):
+                raise ConfigError(f"{path}:{lineno}: {current}.{key}: the quote in {value!r} is "
+                                  "unpaired (a '#' starts a comment even inside quotes)")
+            sections[current][key] = value[1:-1] if quoted else value
     return RunConfig(sections, path=str(path))
 
 
@@ -255,10 +256,8 @@ def build_scheme_params(cfg: RunConfig, model: ModelSpec, override_h_gate=False)
             record_every=cfg.get("scheme", "record_every", default=1, cast=int),
             override_h_gate=(cfg.get("scheme", "override_h_gate", default=False, cast=bool)
                              or override_h_gate),
-            vstep=VStepParams(h=h, inner_tol=cfg.get("scheme", "inner_tol", default=None,
-                                                      cast=float)),
-            thetastep=ThetaStepParams(
-                h=h, gap_tol=cfg.get("scheme", "gap_tol", default=1e-10, cast=float)),
+            inner_tol=cfg.get("scheme", "inner_tol", default=None, cast=float),
+            gap_tol=cfg.get("scheme", "gap_tol", default=1e-10, cast=float),
         )
     try:
         outside_hypotheses(model, params)

@@ -158,23 +158,24 @@ class Stencil:
 
         return pad[:n], grad
 
-    def grad(self, f: np.ndarray, out: np.ndarray, scale=None) -> np.ndarray:
-        """out[k] = scale[k] (default: ``self.scale[k]``) times the forward
-        difference of the flat f along axis k, into a ``(dim, n)`` out whose
-        entries are finite (those on the far boundary are overwritten by 0)."""
+    def grad(self, f: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out[k] = the forward difference of the flat f along axis k over dx,
+        into a ``(dim, n)`` out whose entries are finite (those on the far
+        boundary are overwritten by 0)."""
         for k, s in enumerate(self.steps):
             np.subtract(f[s:], f[:-s], out=out[k, :-s])
-        out *= self.scale if scale is None else scale
+        out *= self.scale
         return out
 
-    def div(self, buf: np.ndarray, out: np.ndarray, scale=None) -> np.ndarray:
-        """out (n cells) = scale (default: 1/dx) times the summed backward
-        differences of the flux ``buf[:, lead:]``, whose far-boundary entries
-        must be 0; with the default this is the divergence."""
-        return self.bound_div(buf)(out, self.inv if scale is None else scale)
+    def div(self, buf: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out (n cells) = the divergence of the flux ``buf[:, lead:]``, the
+        summed backward differences over dx; its far-boundary entries must
+        be 0."""
+        return self.bound_div(buf)(out, self.inv)
 
     def bound_div(self, buf: np.ndarray):
-        """:meth:`div` of buf as a function of (out, scale), on views made once."""
+        """The summed backward differences of buf times scale, as a function
+        of (out, scale), on views made once; scale = 1/dx gives :meth:`div`."""
         n, lead, tmp = self.n, self.lead, self._tmp  # no reference back to self
         pairs = [(buf[k, lead:], buf[k, lead - s:lead - s + n]) for k, s in enumerate(self.steps)]
 

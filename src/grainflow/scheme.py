@@ -21,7 +21,7 @@ sink passed to :func:`run`, at the record steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,13 +55,20 @@ def h_star(model: ModelSpec) -> float:
 
 @dataclass
 class SchemeParams:
+    """The config's [scheme] section, h given directly; ``vstep`` and
+    ``thetastep`` are built from h, inner_tol and gap_tol.  :func:`run` widens
+    the theta-step's relative gap_tol to the dissipation budget
+    1e-9 * (1 + |F_prev|), the larger of the two at the default gap_tol."""
+
     h: float
     nu: float = 0.0
     n_steps: int = 1
     record_every: int = 1
     override_h_gate: bool = False
-    vstep: VStepParams = None
-    thetastep: ThetaStepParams = None
+    inner_tol: float = None
+    gap_tol: float = 1e-10
+    vstep: VStepParams = field(init=False, repr=False, compare=False)
+    thetastep: ThetaStepParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         require_finite(self, "h", "nu")
@@ -73,14 +80,8 @@ class SchemeParams:
             raise ValueError("n_steps must be >= 1")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
-        if self.vstep is None:
-            self.vstep = VStepParams(h=self.h)
-        elif self.vstep.h != self.h:
-            raise ValueError("vstep.h must equal scheme h")
-        if self.thetastep is None:
-            self.thetastep = ThetaStepParams(h=self.h)
-        elif self.thetastep.h != self.h:
-            raise ValueError("thetastep.h must equal scheme h")
+        self.vstep = VStepParams(h=self.h, inner_tol=self.inner_tol)
+        self.thetastep = ThetaStepParams(h=self.h, gap_tol=self.gap_tol)
 
 
 @dataclass

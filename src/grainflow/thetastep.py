@@ -60,19 +60,20 @@ __all__ = [
 
 
 class ThetaNoConvergence(SolverError):
-    """Gap still above tolerance after max_iters Newton steps and PDHG sweeps."""
+    """Gap still above tolerance after _MAX_ITERS Newton steps and PDHG sweeps."""
 
 
 @dataclass
 class ThetaStepParams:
-    """gap_tol is relative: the solve stops once the reconstruction gap is
-    <= gap_tol * (1 + |objective|), checked every check_every sweeps.  The
-    step sizes keep tau*sigma*||grad||^2 = 1 and adapt only through the stall
-    rule in the module docstring; the output is certificate-checked either way."""
+    """gap_tol is relative: a solve stops once the gap at the iterate it
+    returns, checked every check_every sweeps, is <= max(gap_tol (1 + |J|),
+    gap_abs); the time loop's gap_abs, 1e-9 (1 + |F_prev|), is the larger at
+    the default gap_tol.  The step sizes keep tau*sigma*||grad||^2 = 1 and
+    adapt only through the stall rule in the module docstring; the output is
+    certificate-checked either way."""
 
     h: float
     gap_tol: float = 1e-10
-    max_iters: int = 400_000
     check_every: int = 125
 
     def __post_init__(self):
@@ -81,8 +82,8 @@ class ThetaStepParams:
             raise ValueError("time step h must be positive")
         if not self.gap_tol > 0:
             raise ValueError("gap_tol must be positive")
-        if not (self.max_iters >= 1 and self.check_every >= 1):
-            raise ValueError("max_iters and check_every must be at least 1")
+        if not self.check_every >= 1:
+            raise ValueError("check_every must be at least 1")
 
 
 @dataclass
@@ -92,7 +93,7 @@ class ThetaStepReport:
     duality_gap: float
     linf_in: float
     linf_out: float
-    dual: tuple = field(default=None, repr=False, compare=False)
+    dual: np.ndarray = field(default=None, repr=False, compare=False)  # (dim,) + grid shape
 
 
 def _mobility_weights(v_new, model: ModelSpec):
@@ -103,6 +104,7 @@ def _mobility_weights(v_new, model: ModelSpec):
 
 _R0 = {1: 0.125, 2: 0.0625}  # the default start ratio by grid dimension
 _RHO = 1.8  # over-relaxation of the PDHG sweep (_PdhgLoop), in (0, 2)
+_MAX_ITERS = 400_000  # Newton steps plus PDHG sweeps per solve
 
 
 class StartRatio:
@@ -147,7 +149,7 @@ def theta_step(theta_prev: ScalarField, v_new, model: ModelSpec, nu: float,
     ``warm_dual`` may carry the dual state of a previous related solve, and
     ``start_ratio`` the PDHG step ratio to start from (default r0).
     ``iters`` in the report counts Newton steps plus PDHG sweeps, and
-    ``params.max_iters`` caps their sum.
+    ``_MAX_ITERS`` caps their sum.
     ``gap_abs`` optionally widens the stopping rule to
     max(gap_tol*(1+|J|), gap_abs); the time loop uses it to request exactly
     the gap its dissipation budget can absorb.
@@ -161,7 +163,7 @@ def theta_step(theta_prev: ScalarField, v_new, model: ModelSpec, nu: float,
     if grid.dim == 1 and loop.reconstructable and (nb is None or float(nb.min()) > 0.0):
         iters = newton = _dual_newton(loop)
         last = loop.certify()
-        if last[1] <= max(params.gap_tol * (1.0 + abs(last[3])), gap_abs):
+        if last[1] <= max(params.gap_tol * (1.0 + abs(last[2])), gap_abs):
             chosen = last
 
     gn = np.sqrt(grad_operator_norm_bound(grid))
@@ -171,17 +173,17 @@ def theta_step(theta_prev: ScalarField, v_new, model: ModelSpec, nu: float,
         loop.set_steps(ratio / gn, 1.0 / (ratio * gn))
     gap_history = []
     window = 5
-    while chosen is None and iters < params.max_iters:
-        burst = min(params.check_every, params.max_iters - iters)
+    while chosen is None and iters < _MAX_ITERS:
+        burst = min(params.check_every, _MAX_ITERS - iters)
         loop.advance(burst)
         iters += burst
         last = loop.certify()
-        t_hat, gap_rec, _, j_hat = last
+        t_hat, gap, j_hat = last
         tol_eff = max(params.gap_tol * (1.0 + abs(j_hat)), gap_abs)
-        if gap_rec <= tol_eff:
+        if gap <= tol_eff:
             chosen = last
             break
-        if not loop.reconstructable and not np.isfinite(gap_rec):
+        if not loop.reconstructable and not np.isfinite(gap):
             # no usable certificate (mobility floor 0): fall back to the
             # iterate-change rule; the clipped output still obeys the
             # maximum principle exactly
@@ -191,11 +193,11 @@ def theta_step(theta_prev: ScalarField, v_new, model: ModelSpec, nu: float,
                 chosen = last
                 break
             prev_hat = t_hat
-        gap_history.append(gap_rec)
+        gap_history.append(gap)
         stalled = (
             len(gap_history) >= window
             and np.isfinite(gap_history[-window])
-            and gap_rec > 0.5 * gap_history[-window]
+            and gap > 0.5 * gap_history[-window]
         )
         if stalled:
             # the last-iterate gap plateaus proportionally to tau on
@@ -206,23 +208,23 @@ def theta_step(theta_prev: ScalarField, v_new, model: ModelSpec, nu: float,
                 ratio = ratio0
                 window *= 2
             else:
-                jump = min(0.25, 0.3 * tol_eff / gap_rec)
+                jump = min(0.25, 0.3 * tol_eff / gap)
                 ratio = max(ratio * jump, min_ratio)
             loop.set_steps(ratio / gn, 1.0 / (ratio * gn))
             gap_history.clear()
     if chosen is None:
         raise ThetaNoConvergence(
-            f"gap {last[1]:.3e} above tolerance after {params.max_iters} iterations"
+            f"gap {last[1]:.3e} above tolerance after {_MAX_ITERS} iterations"
         )
 
-    t_hat, _, gap_hat, _ = chosen
+    t_hat, gap, _ = chosen
     report = ThetaStepReport(
         iters=iters,
         sweeps=iters - newton,
-        duality_gap=gap_hat,
+        duality_gap=gap,
         linf_in=loop.linf,
         linf_out=float(np.abs(t_hat).max()),
-        dual=tuple(loop.iterate()[1]),
+        dual=loop.iterate()[1],
     )
     return ScalarField(grid, t_hat), report
 
@@ -384,24 +386,18 @@ class _PdhgLoop:
         return val - float(np.sum(pen)) * self.vol
 
     def certify(self):
-        """(t_hat, gap at t_rec, gap at t_hat, J(t_hat)) at the last iterate,
-        with t_hat in grid shape, after projecting the dual onto its balls;
-        the gaps are inf without a finite dual value, and both are the gap at
-        t_hat when a0 has zeros."""
+        """(t_hat, gap at t_hat, J(t_hat)) at the last iterate, with t_hat in
+        grid shape, after projecting the dual onto its balls; the gap is inf
+        without a finite dual value."""
         if self.ball is not None:
             mag = np.maximum(self._magnitude(self.p), 1e-300, out=self.mag)
             self.p *= np.minimum(self.ball / mag, 1.0)
         y = self.st.div(self.buf, self.tmp)
         t_rec = self.t0 + self.h * y / self.a0 if self.reconstructable else self.t
         t_hat = np.clip(t_rec, -self.linf, self.linf)
-        d_val = self._dual_value(y)
+        d_val = self._dual_value(y)  # -inf without a finite dual value: gap inf
         j_hat = self._objective(t_hat)
-        if not np.isfinite(d_val):
-            gap_rec = gap_hat = np.inf
-        else:
-            gap_hat = j_hat - d_val
-            gap_rec = self._objective(t_rec) - d_val if self.reconstructable else gap_hat
-        return t_hat.reshape(self.shape), gap_rec, gap_hat, j_hat
+        return t_hat.reshape(self.shape), j_hat - d_val, j_hat
 
 
 _NEWTON_CAP = 50  # Newton steps before a 1D solve hands over to PDHG

@@ -50,7 +50,10 @@ class OuterNoConvergence(SolverError):
 
 
 class InnerNoConvergence(SolverError):
-    """Proximal-gradient inner loop exhausted max_inner."""
+    """Proximal-gradient inner loop exhausted _MAX_INNER iterations."""
+
+
+_MAX_INNER = 100_000  # proximal-gradient iterations per inner solve
 
 
 @dataclass
@@ -58,12 +61,11 @@ class VStepParams:
     """inner_tol is a finite, positive, absolute discrete-L2 value; when left
     None it is scaled at call time to 1e-12*sqrt(|Omega|).  The Picard outer
     loop stops at a difference of 1e-10*sqrt(|Omega|); the fused policy stops
-    on inner_tol and max_inner alone."""
+    on inner_tol and the _MAX_INNER cap alone."""
 
     h: float
     inner_tol: float = None
     max_outer: int = 200
-    max_inner: int = 100_000
 
     def __post_init__(self):
         require_finite(self, "h", *(("inner_tol",) if self.inner_tol is not None else ()))
@@ -71,8 +73,8 @@ class VStepParams:
             raise ValueError("time step h must be positive")
         if self.inner_tol is not None and not self.inner_tol > 0:
             raise ValueError("inner_tol must be positive")
-        if not (self.max_outer >= 1 and self.max_inner >= 1):
-            raise ValueError("max_outer and max_inner must be at least 1")
+        if not self.max_outer >= 1:
+            raise ValueError("max_outer must be at least 1")
 
 
 @dataclass
@@ -125,7 +127,7 @@ def v_step(v_prev, theta_prev: ScalarField, model: ModelSpec, nu: float,
     tau = 1.0 / lip
 
     loop_args = (q1, q2, model, h, tau, stencil(grid.shape, dx, 2), vol, inner_tol,
-                 params.max_inner)
+                 _MAX_INNER)
 
     if fused:
         v, inner_total, ratio = _inner_prox_gradient(v, v_prev, None, *loop_args)

@@ -37,7 +37,7 @@ from grainflow.model import grad_g, g_eval, mobility_eval
 from grainflow.thetastep import _mobility_weights
 from grainflow.verify import random_admissible_v, random_smooth_field
 
-from conftest import model_for
+from grainflow_testkit import model_for
 
 SEED = 20240801
 SETTINGS = ("g1", "g2", "g3")

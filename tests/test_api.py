@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import pkgutil
 from pathlib import Path
@@ -113,3 +114,29 @@ def test_definitions_have_program_callers():
                 used.add(name)
     unread = sorted(d for d in defined if d.split(".")[1] not in used | exempt)
     assert unread == []
+
+
+def test_params_fields_are_set_by_the_program():
+    # every init field of the three params dataclasses is set by keyword in
+    # some call of the program, in the package or the benchmark, so none is a
+    # setting only tests reach; and SchemeParams is the config's [scheme]
+    # section, whose h_frac is h as a fraction of h*
+    from grainflow.cli import CONFIG_KEYS
+    from grainflow.scheme import SchemeParams
+    from grainflow.thetastep import ThetaStepParams
+    from grainflow.vstep import VStepParams
+
+    package = Path(grainflow.__file__).parent
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    classes = (SchemeParams, VStepParams, ThetaStepParams)
+    init = {c.__name__: {f.name for f in dataclasses.fields(c) if f.init} for c in classes}
+    set_by = {name: set() for name in init}
+    for path in sorted(package.glob("*.py")) + sorted(perfbench.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in set_by:
+                    set_by[name] |= {k.arg for k in node.keywords}
+    assert {name: sorted(init[name] - set_by[name]) for name in init} == {
+        name: [] for name in init}
+    assert init["SchemeParams"] == CONFIG_KEYS["scheme"] - {"h_frac"}

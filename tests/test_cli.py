@@ -17,7 +17,7 @@ from grainflow import h_star
 from grainflow.grid import GridSpec
 from grainflow.scheme import validate_initial
 
-from conftest import model_for
+from grainflow_testkit import model_for
 
 BASE = """
 [model]
@@ -168,10 +168,11 @@ def test_repeated_key_is_a_config_error(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("value", ['"out#1"', "'out\"", '"out', "'"])
+@pytest.mark.parametrize("value", ['"out#1"', "'out\"", '"out', "'", 'out"', "out'"])
 def test_unclosed_quote_is_a_config_error(tmp_path, value):
     # a '#' inside quotes starts a comment, so "out#1" would silently read as
-    # "out"; a quote that does not close with its own mark is an error
+    # "out"; a quote that does not close with its own mark is an error, and
+    # so is one that ends a value without opening it
     text = BASE.format(out=value.replace("out", str(tmp_path / "out")))
     line = next(n for n, t in enumerate(text.splitlines(), start=1)
                 if t.startswith("directory ="))
@@ -182,6 +183,11 @@ def test_unclosed_quote_is_a_config_error(tmp_path, value):
     assert not (tmp_path / "out").exists()
     closed = parse_config(write_cfg(tmp_path, BASE.format(out="'a b'  # c")))
     assert closed.get("output", "directory") == "a b"
+    # only the pair that opens and closes the value is stripped
+    path = write_cfg(tmp_path, BASE.format(out=tmp_path / "out") + "formats = \"csv''\"\n")
+    assert parse_config(path).sections["output"]["formats"] == "csv''"
+    assert main(["run", "--config", path]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_digest_ignores_output_and_seed(tmp_path):

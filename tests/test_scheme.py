@@ -18,8 +18,6 @@ from grainflow import (
     SchemeParams,
     SolverError,
     ThetaNoConvergence,
-    ThetaStepParams,
-    VStepParams,
     h_star,
     run,
     theta_step,
@@ -27,11 +25,11 @@ from grainflow import (
 )
 from grainflow.cli import (_initial_state, build_grid, build_model, build_scheme_params,
                            make_initial, parse_config)
-from grainflow import scheme
+from grainflow import scheme, thetastep, vstep
 from grainflow.grid import Stencil, stencil
 from grainflow.verify import check_dissipation
 from grainflow.vstep import InnerNoConvergence, v_step
-from conftest import RecordingSink, model_for
+from grainflow_testkit import RecordingSink, model_for
 
 
 def with_c2(value):
@@ -193,27 +191,22 @@ def test_run_deterministic_bitwise(g1_model):
     assert [e.total for e in t1.energies] == [e.total for e in t2.energies]
 
 
-def test_step_errors_carry_index(g1_model):
+def test_step_errors_carry_index(g1_model, monkeypatch):
     # 2D, where PDHG runs: the exact 1D dual Newton solve meets the run's
     # gap budget however small gap_tol is
     grid = GridSpec(2, (4, 4), 1.0)
     init = make_initial("random", grid, g1_model, seed=7)
-    params = SchemeParams(
-        h=0.5 * h_star(g1_model),
-        nu=0.1,
-        n_steps=3,
-        thetastep=ThetaStepParams(h=0.5 * h_star(g1_model), gap_tol=1e-300,
-                                  max_iters=5),
-    )
+    params = SchemeParams(h=0.5 * h_star(g1_model), nu=0.1, n_steps=3, gap_tol=1e-300)
+    monkeypatch.setattr(thetastep, "_MAX_ITERS", 5)
     with pytest.raises(ThetaNoConvergence, match="step 1"):
         run(init, g1_model, params)
 
 
-def test_fused_v_step_failure_names_the_step(g1_model):
+def test_fused_v_step_failure_names_the_step(g1_model, monkeypatch):
     grid = GridSpec(1, (16,), 1.0)
     init = make_initial("random", grid, g1_model, seed=7)
-    h = 0.5 * h_star(g1_model)
-    params = SchemeParams(h=h, nu=0.1, n_steps=3, vstep=VStepParams(h=h, max_inner=3))
+    params = SchemeParams(h=0.5 * h_star(g1_model), nu=0.1, n_steps=3)
+    monkeypatch.setattr(vstep, "_MAX_INNER", 3)
     with pytest.raises(InnerNoConvergence, match=r"^step 1: inner proximal gradient .* in 3 "):
         run(init, g1_model, params)
 
@@ -322,9 +315,9 @@ def run_shipped_config(name, overrides):
         cfg.sections[section][key] = value
     model, grid = build_model(cfg), build_grid(cfg)
     params = build_scheme_params(cfg, model)
-    params = dataclasses.replace(params, thetastep=ThetaStepParams(h=params.h,
-                                                                   max_iters=100_000))
-    return run(_initial_state(cfg, grid, model), model, params)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(thetastep, "_MAX_ITERS", 100_000)
+        return run(_initial_state(cfg, grid, model), model, params)
 
 
 def test_logarithmic_seed_3_passes_step_71():
@@ -424,8 +417,11 @@ def test_scheme_params_validation(g1_model):
         SchemeParams(h=0.1, nu=-0.1)
     with pytest.raises(ValueError):
         SchemeParams(h=0.1, n_steps=0)
-    with pytest.raises(ValueError):
-        SchemeParams(h=0.1, vstep=VStepParams(h=0.2))
+    # the tolerances are checked where the steps' params are built from them
+    with pytest.raises(ValueError, match="^inner_tol must be positive"):
+        SchemeParams(h=0.1, inner_tol=0.0)
+    with pytest.raises(ValueError, match="^gap_tol must be finite"):
+        SchemeParams(h=0.1, gap_tol=float("inf"))
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="^nu must be finite"):
             SchemeParams(h=0.1, nu=bad)

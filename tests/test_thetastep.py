@@ -21,7 +21,7 @@ from grainflow import thetastep
 from grainflow.thetastep import _dual_newton, _mobility_weights, _PdhgLoop, _thomas
 from grainflow.verify import _theta_objective, random_admissible_v, random_smooth_field
 
-from conftest import model_for
+from grainflow_testkit import model_for
 from slice_reference import div_slices, grad_slices, laplacian_slices
 
 
@@ -154,7 +154,7 @@ def test_certificate_matches_reference_gap(g1_model, rng, shape, dx, nu):
     ratio = 0.125 if grid.dim == 1 else 0.0625
     loop.set_steps(ratio / gn, 1.0 / (ratio * gn))
     loop.advance(75)  # relaxed sweeps: the 48-cell gaps are 2e-8 and 1.4e-7 here
-    t_hat, gap_rec, gap_hat, j_hat = loop.certify()
+    t_hat, gap, j_hat = loop.certify()
 
     p = loop.iterate()[1]
     y = div_slices(list(p), dx)
@@ -175,9 +175,8 @@ def test_certificate_matches_reference_gap(g1_model, rng, shape, dx, nu):
     tol = 1e-12 * (1.0 + abs(objective(want_hat)))
     assert np.max(np.abs(t_hat - want_hat)) <= 1e-12 * m
     assert abs(j_hat - objective(want_hat)) <= tol
-    assert abs(gap_hat - (objective(want_hat) - dual)) <= tol
-    assert abs(gap_rec - (objective(t_rec) - dual)) <= tol
-    assert gap_rec > 1e-10 and gap_hat >= -tol  # not yet converged; weak duality
+    assert abs(gap - (objective(want_hat) - dual)) <= tol
+    assert gap > 1e-10  # not yet converged
 
 
 @pytest.mark.parametrize("nu", [0.0, 0.1])
@@ -296,7 +295,7 @@ def test_newton_restart_from_converged_nu0_dual_takes_no_step(rng, monkeypatch, 
         a0, aw, _ = _mobility_weights(random_admissible_v(grid, model, rng), model)
         loop = _PdhgLoop(theta.values, a0, aw, None, bench_h(model), dx)
         _dual_newton(loop)
-        _, gap, _, j_hat = loop.certify()
+        _, gap, j_hat = loop.certify()
         assert gap <= 1e-12 * (1.0 + abs(j_hat))
         dual = loop.p.copy()
         calls.clear()
@@ -419,13 +418,13 @@ def test_start_ratio_adopts_a_better_ratio():
 # parameters and failure modes
 # ---------------------------------------------------------------------------
 
-def test_no_convergence_raised(g1_model, rng):
+def test_no_convergence_raised(g1_model, rng, monkeypatch):
     grid = GridSpec(1, (32,), 1.0)
     v = random_admissible_v(grid, g1_model, rng)
     theta0 = random_smooth_field(grid, rng, 0.8)
-    with pytest.raises(ThetaNoConvergence):
-        theta_step(theta0, v, g1_model, 0.1,
-                   ThetaStepParams(h=0.05, gap_tol=1e-300, max_iters=10))
+    monkeypatch.setattr(thetastep, "_MAX_ITERS", 10)
+    with pytest.raises(ThetaNoConvergence, match="after 10 iterations"):
+        theta_step(theta0, v, g1_model, 0.1, ThetaStepParams(h=0.05, gap_tol=1e-300))
 
 
 def test_unsafeguarded_mobility_still_respects_maximum_principle(rng):
@@ -458,6 +457,6 @@ def test_params_validation():
         name = next(iter(bad))
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             ThetaStepParams(**{"h": 0.1, **bad})
-    for caps in ({"check_every": 0}, {"max_iters": 0}, {"check_every": -1}, {"max_iters": -5}):
-        with pytest.raises(ValueError, match="at least 1"):
-            ThetaStepParams(h=0.1, **caps)
+    for check_every in (0, -1):
+        with pytest.raises(ValueError, match="^check_every must be at least 1"):
+            ThetaStepParams(h=0.1, check_every=check_every)

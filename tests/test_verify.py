@@ -11,8 +11,6 @@ from grainflow import (
     Potential,
     PotentialSpec,
     SchemeParams,
-    ThetaStepParams,
-    VStepParams,
     check_box,
     check_dissipation,
     check_gamma_sandwich,
@@ -29,7 +27,7 @@ from grainflow.cli import make_initial
 from grainflow.scheme import validate_initial
 from grainflow.verify import check_energy_bound
 
-from conftest import model_for
+from grainflow_testkit import model_for
 
 
 @pytest.fixture(scope="module")
@@ -146,9 +144,7 @@ def test_nu_limit_study_passes_solver_tolerances(g1_model, monkeypatch):
     grid = GridSpec(1, (16,), 1.0)
     init = make_initial("random", grid, g1_model, seed=1)
     h = 0.5 * h_star(g1_model)
-    vparams = VStepParams(h=h, inner_tol=1e-7)
-    tparams = ThetaStepParams(h=h, gap_tol=1e-6)
-    params = SchemeParams(h=h, nu=0.5, n_steps=2, vstep=vparams, thetastep=tparams)
+    params = SchemeParams(h=h, nu=0.5, n_steps=2, inner_tol=1e-7, gap_tol=1e-6)
     seen = []
 
     def spy(init_state, model, p):

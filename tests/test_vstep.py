@@ -17,7 +17,7 @@ from grainflow import vstep
 from grainflow.grid import Stencil, grad_operator_norm_bound, stencil
 from grainflow.vstep import InnerNoConvergence, OuterNoConvergence
 
-from conftest import model_for
+from grainflow_testkit import model_for
 from slice_reference import laplacian_slices
 
 
@@ -189,16 +189,16 @@ def test_deterministic_bitwise(g1_model, rng):
     assert ra == rb
 
 
-def test_solver_failure_modes(g1_model, rng):
+def test_solver_failure_modes(g1_model, rng, monkeypatch):
     grid = GridSpec(1, (16,), 1.0)
     v0 = random_admissible_v(grid, g1_model, rng)
     theta = random_smooth_field(grid, rng, 0.8)
     with pytest.raises(OuterNoConvergence):
         v_step(v0, theta, g1_model, 0.1, VStepParams(h=bench_h(g1_model), max_outer=1))
     where = r"^outer iteration 1: .* in 3 iterations \(last diff \d\.\d\de[-+]\d+\)$"
+    monkeypatch.setattr(vstep, "_MAX_INNER", 3)
     with pytest.raises(InnerNoConvergence, match=where):
-        v_step(v0, theta, g1_model, 0.1,
-               VStepParams(h=bench_h(g1_model), inner_tol=1e-300, max_inner=3))
+        v_step(v0, theta, g1_model, 0.1, VStepParams(h=bench_h(g1_model), inner_tol=1e-300))
 
 
 def test_params_validation():
@@ -211,9 +211,9 @@ def test_params_validation():
         name = next(iter(bad))
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             VStepParams(**{"h": 0.1, **bad})
-    for caps in ({"max_outer": 0}, {"max_inner": 0}, {"max_outer": -3}, {"max_inner": -1}):
-        with pytest.raises(ValueError, match="at least 1"):
-            VStepParams(h=0.1, **caps)
+    for max_outer in (0, -3):
+        with pytest.raises(ValueError, match="^max_outer must be at least 1"):
+            VStepParams(h=0.1, max_outer=max_outer)
 
 
 def reference_inner_prox_gradient(w, e, w_prev, e_prev, gw_frozen, ge_frozen, q1, q2,
@@ -310,15 +310,17 @@ def test_fused_loop_matches_picard(setting, nu, shape, rng):
     assert rf.box_violation <= 1e-9
 
 
-def test_fused_loop_never_returns_unconverged(g2_model, rng):
+def test_fused_loop_never_returns_unconverged(g2_model, rng, monkeypatch):
     grid = GridSpec(1, (64,), 1.0)
     v0 = random_admissible_v(grid, g2_model, rng)
     theta = random_smooth_field(grid, rng, 0.8)
-    h = bench_h(g2_model)
-    _, rep = v_step(v0, theta, g2_model, 0.1, VStepParams(h=h), fused=True)
+    params = VStepParams(h=bench_h(g2_model))
+    _, rep = v_step(v0, theta, g2_model, 0.1, params, fused=True)
     n = rep.inner_iters_total
-    _, exact = v_step(v0, theta, g2_model, 0.1, VStepParams(h=h, max_inner=n), fused=True)
+    monkeypatch.setattr(vstep, "_MAX_INNER", n)
+    _, exact = v_step(v0, theta, g2_model, 0.1, params, fused=True)
     assert exact == rep
     where = rf"^inner proximal gradient did not reach .* in {n - 1} iterations"
+    monkeypatch.setattr(vstep, "_MAX_INNER", n - 1)
     with pytest.raises(InnerNoConvergence, match=where):
-        v_step(v0, theta, g2_model, 0.1, VStepParams(h=h, max_inner=n - 1), fused=True)
+        v_step(v0, theta, g2_model, 0.1, params, fused=True)
