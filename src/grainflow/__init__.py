@@ -15,7 +15,7 @@ from .model import (
     ModelSpec,
     Potential,
     PotentialSpec,
-    ProxNoConvergence,
+    SolverError,
     ValidationReport,
     check_a4,
     estimate_c2_norm,
@@ -37,7 +37,6 @@ from .scheme import (
     validate_initial,
 )
 from .thetastep import (
-    ThetaNoConvergence,
     ThetaStepParams,
     ThetaStepReport,
     oracle_theta_min,
@@ -57,9 +56,6 @@ from .verify import (
     random_smooth_field,
 )
 from .vstep import (
-    InnerNoConvergence,
-    OuterNoConvergence,
-    SolverError,
     VStepParams,
     VStepReport,
     v_step,

@@ -52,8 +52,9 @@ not open.  A key may be given once per section, even across repeated
 headers of that section.  Subcommands: run, verify, sweep-nu,
 probe-contraction.  A config is valid or invalid whatever the subcommand:
 every value is read and checked before anything is written.  Exit status:
-0 ok, 1 a check failed, 2 config error (the message names the key), 3 any
-other error.
+0 ok, 1 a check failed, 2 config error (the message names the key, or the
+path of a config that cannot be read; an empty output.directory is one), 3
+any other error, such as an OS error or a SolverError.
 """
 
 from __future__ import annotations
@@ -163,7 +164,11 @@ def parse_config(path) -> RunConfig:
     sections = {}
     first_line = {}
     current = None
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as err:
+        raise ConfigError(f"{path}: cannot read the config ({err.strerror})") from None
+    with fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -387,6 +392,7 @@ def _checked(cast, ok, why):
 _positive_int = _checked(int, lambda n: n >= 1, "must be at least 1")
 _nonnegative_int = _checked(int, lambda n: n >= 0, "must be nonnegative")
 _finite_float = _checked(float, math.isfinite, "must be finite")
+_nonempty = _checked(str, bool, "must not be empty")
 
 
 def _initial_state(cfg, grid, model):
@@ -415,7 +421,7 @@ def _setup(args) -> SimpleNamespace:
         model=model,
         grid=grid,
         params=build_scheme_params(cfg, model, override_h_gate=args.override_h_gate),
-        outdir=cfg.get("output", "directory", default="out"),
+        outdir=cfg.get("output", "directory", default="out", cast=_nonempty),
         formats=cfg.get("output", "formats", default=("csv",), cast=_formats),
         state=_initial_state(cfg, grid, model),
         n_oracle=cfg.get("verify", "n_oracle", default=6, cast=_positive_int),
@@ -534,7 +540,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError) as err:
+    except (ValueError, RuntimeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
 

@@ -51,7 +51,7 @@ class EnergyBreakdown:
 
 def _phi_terms(w: np.ndarray, eta: np.ndarray, theta: np.ndarray, model: ModelSpec,
                nu: float, dx: float, dim: int):
-    _, a, b, _, _ = model.mobilities(w, eta)
+    _, a, b = model.mobilities(w, eta)
     sq = stencil(theta.shape, dx).sq_grad(theta)
     vol = dx**dim
     wtv = float(np.sum(a * np.sqrt(sq))) * vol

@@ -35,7 +35,6 @@ __all__ = [
     "CheckCondition",
     "ValidationReport",
     "SolverError",
-    "ProxNoConvergence",
     "gamma_eval",
     "gamma_prox",
     "g_eval",
@@ -49,11 +48,8 @@ __all__ = [
 
 
 class SolverError(RuntimeError):
-    """An iterative solver stopped without meeting its tolerance."""
-
-
-class ProxNoConvergence(SolverError):
-    """The logarithmic gamma prox got non-finite input or exhausted its sweeps."""
+    """A solver stopped without meeting its tolerance; the message names the
+    solver and, from a run, the step."""
 
 
 def _member_from_token(cls, token: str, what: str, expected: str):
@@ -119,7 +115,7 @@ class PotentialSpec:
 
 @dataclass(frozen=True)
 class MobilitySpec:
-    """Mobility triple alpha0, alpha, beta with gradients and infima."""
+    """Mobility triple alpha0, alpha, beta with its gradient terms and bounds."""
 
     kind: MobilityKind
     kappa: float = 1e-2
@@ -151,19 +147,17 @@ class MobilitySpec:
             return 0.5 * self.kappa
         return min(self.a0, self.a)
 
-    def delta_star(self, radius: float = 1.0) -> float:
-        """sup of beta over [-radius, radius]^2 (upper mobility bound)."""
+    @property
+    def delta_star(self) -> float:
+        """sup of beta over the unit box [0,1]^2 (upper mobility bound)."""
         if self.kind is MobilityKind.KOBAYASHI:
-            return 0.5 * (radius**2 + self.kappa)
+            return 0.5 * (1.0 + self.kappa)
         return self.b
 
     @property
-    def alpha_curvature_bound(self) -> float:
-        """sup of the spectral norm of Hess(alpha): 1 for the quadratic family."""
-        return 1.0 if self.kind is MobilityKind.KOBAYASHI else 0.0
-
-    @property
-    def beta_curvature_bound(self) -> float:
+    def curvature_bound(self) -> float:
+        """sup of the spectral norms of Hess(alpha) and Hess(beta): 1 for the
+        quadratic family, 0 for constants."""
         return 1.0 if self.kind is MobilityKind.KOBAYASHI else 0.0
 
     def add_gradient_terms(self, q1, q2, w, eta, gw, ge, tmp):
@@ -210,7 +204,7 @@ def gamma_prox(spec: PotentialSpec, lam, r):
     sigmoid in [0, 1] gives, and a cell's s is frozen once its residual
     |sigmoid(s) + (lam/2) s - r| is <= max(1e-13, 4 eps |r|): past
     |r| of about 100 the rounding of r alone exceeds 1e-13.  Raises
-    ``ProxNoConvergence`` if r is not finite or if some cell is still above
+    ``SolverError`` if r is not finite or if some cell is still above
     that tolerance after 200 sweeps.
     """
     if not lam > 0:  # a scalar or 0-d array; NaN is rejected too
@@ -244,7 +238,7 @@ def _log_prox(lam: float, r: np.ndarray) -> np.ndarray:
     # bracket from sigmoid in [0, 1], then Newton steps kept inside the bracket.
     # Cells that meet the tolerance keep their s, so their sigmoid is final.
     if not np.all(np.isfinite(r)):
-        raise ProxNoConvergence(
+        raise SolverError(
             f"logarithmic prox got {int(np.sum(~np.isfinite(r)))} non-finite input cells"
         )
     half = 0.5 * lam
@@ -268,7 +262,7 @@ def _log_prox(lam: float, r: np.ndarray) -> np.ndarray:
         s = np.where(done, s, np.where(bad, 0.5 * (lo + hi), s_new))
     else:
         left = ~done
-        raise ProxNoConvergence(
+        raise SolverError(
             f"logarithmic prox left {int(left.sum())} cells above"
             f" max({_LOG_PROX_TOL:.0e}, 4 eps|r|) after {_LOG_PROX_MAX_SWEEPS} sweeps"
             f" (worst residual {np.max(np.abs(phi[left])):.3e})"
@@ -328,29 +322,22 @@ def hessian_g(spec: PotentialSpec, w, eta):
 # ---------------------------------------------------------------------------
 
 def mobility_eval(spec: MobilitySpec, w, eta):
-    """Returns (alpha0, alpha, beta, grad_alpha, grad_beta) at (w, eta)."""
+    """Returns (alpha0, alpha, beta) at (w, eta); the gradients of alpha and
+    beta enter only through :meth:`MobilitySpec.add_gradient_terms`."""
     w = np.asarray(w, dtype=float)
     eta = np.asarray(eta, dtype=float)
     if spec.kind is MobilityKind.KOBAYASHI:
         a0 = 0.5 * (eta**2 + spec.kappa) * np.ones_like(w)
-        a = a0
-        b = 0.5 * (w**2 + spec.kappa) * np.ones_like(eta)
-        grad_a = (np.zeros_like(w * eta), eta * np.ones_like(w))
-        grad_b = (w * np.ones_like(eta), np.zeros_like(w * eta))
-    else:
-        shape = np.broadcast(w, eta).shape
-        a0 = np.full(shape, spec.a0)
-        a = np.full(shape, spec.a)
-        b = np.full(shape, spec.b)
-        grad_a = (np.zeros(shape), np.zeros(shape))
-        grad_b = (np.zeros(shape), np.zeros(shape))
-    return a0, a, b, grad_a, grad_b
+        return a0, a0, 0.5 * (w**2 + spec.kappa) * np.ones_like(eta)
+    shape = np.broadcast(w, eta).shape
+    return np.full(shape, spec.a0), np.full(shape, spec.a), np.full(shape, spec.b)
 
 
 # ---------------------------------------------------------------------------
 # derived constants
 # ---------------------------------------------------------------------------
 
+_SAMPLES = 401  # points per axis of the sampling lattice on [0,1]^2
 _LATTICE_ROWS = 16  # lattice rows sampled at a time: the peak memory of a model build
 
 
@@ -363,13 +350,13 @@ def _lattice_blocks(samples: int):
             for i in range(0, samples, _LATTICE_ROWS))
 
 
-def estimate_c2_norm(spec: PotentialSpec, samples: int = 401) -> float:
+def estimate_c2_norm(spec: PotentialSpec) -> float:
     """C2 norm of g on [0,1]^2 by dense lattice sampling: the max over sample
     points of |g|, the Euclidean gradient norm, and the spectral norm of the
     Hessian.  The spectral (operator) norm is what the contraction and
     dissipation constants require.  A max does not depend on the blocks."""
     top = 0.0
-    for W, E in _lattice_blocks(samples):
+    for W, E in _lattice_blocks(_SAMPLES):
         vals = np.abs(g_eval(spec, W, E))
         gw, ge = grad_g(spec, W, E)
         gnorm = np.sqrt(gw**2 + ge**2)
@@ -379,10 +366,10 @@ def estimate_c2_norm(spec: PotentialSpec, samples: int = 401) -> float:
     return float(top)
 
 
-def estimate_c_star(spec: PotentialSpec, samples: int = 401) -> float:
+def estimate_c_star(spec: PotentialSpec) -> float:
     """Sampled lower bound constant c* with gamma + g >= c* on [0,1]^2."""
     return float(min(np.min(gamma_eval(spec, W) + g_eval(spec, W, E))
-                     for W, E in _lattice_blocks(samples)))
+                     for W, E in _lattice_blocks(_SAMPLES)))
 
 
 @dataclass(frozen=True)
@@ -507,19 +494,14 @@ def check_a4(model: ModelSpec) -> ValidationReport:
     conds.append(CheckCondition("g_eta(o*, 0) <= 0", -ge_lo >= -_A4_TOL, -ge_lo))
     conds.append(CheckCondition("g_eta(iota*, 1) >= 0", ge_hi >= -_A4_TOL, ge_hi))
 
-    _, _, _, ga_lo, gb_lo = mobility_eval(model.mobility, o, 0.0)
-    _, _, _, ga_hi, gb_hi = mobility_eval(model.mobility, i, 1.0)
-    signs = [
-        ("alpha_w(o*,0) <= 0", -float(ga_lo[0])),
-        ("alpha_eta(o*,0) <= 0", -float(ga_lo[1])),
-        ("beta_w(o*,0) <= 0", -float(gb_lo[0])),
-        ("beta_eta(o*,0) <= 0", -float(gb_lo[1])),
-        ("alpha_w(iota*,1) >= 0", float(ga_hi[0])),
-        ("alpha_eta(iota*,1) >= 0", float(ga_hi[1])),
-        ("beta_w(iota*,1) >= 0", float(gb_hi[0])),
-        ("beta_eta(iota*,1) >= 0", float(gb_hi[1])),
-    ]
-    for name, margin in signs:
-        conds.append(CheckCondition(name, margin >= -_A4_TOL, margin))
+    # the gradients from add_gradient_terms: q1 = 1 adds grad(alpha), q2 = 1 grad(beta)
+    for corner, (w, e), sign in (("(o*,0) <= 0", (o, 0.0), -1.0),
+                                 ("(iota*,1) >= 0", (i, 1.0), 1.0)):
+        for name, q in (("alpha", (1.0, None)), ("beta", (0.0, 1.0))):
+            gw, ge = np.zeros(1), np.zeros(1)
+            model.mobility.add_gradient_terms(*q, w, e, gw, ge, np.empty(1))
+            for var, g in (("w", gw), ("eta", ge)):
+                margin = sign * float(g[0])
+                conds.append(CheckCondition(f"{name}_{var}{corner}", margin >= -_A4_TOL, margin))
 
     return ValidationReport(tuple(conds))

@@ -27,9 +27,10 @@ import numpy as np
 
 from .energy import free_energy
 from .grid import PhaseState
-from .model import CheckCondition, ModelSpec, ValidationReport, check_a4, require_finite
+from .model import (CheckCondition, ModelSpec, SolverError, ValidationReport, check_a4,
+                    require_finite)
 from .thetastep import StartRatio, ThetaStepParams, theta_step
-from .vstep import SolverError, VStepParams, v_step
+from .vstep import VStepParams, v_step
 
 __all__ = [
     "HGateError",
@@ -177,15 +178,15 @@ def run(init: PhaseState, model: ModelSpec, params: SchemeParams, sink=None) -> 
             theta_new, trep = theta_step(state.theta, v_new, model, nu, params.thetastep,
                                          warm_dual=warm_dual, gap_abs=gap_budget,
                                          start_ratio=ratio)
-        except SolverError as err:  # same class, so callers can catch one kind
-            raise type(err)(f"step {i}: {err}") from err
+        except SolverError as err:
+            raise SolverError(f"step {i}: {err}") from err
         warm_dual = trep.dual
         start.learn(trep.sweeps)
 
         dw = v_new[0].values - state.w.values
         de = v_new[1].values - state.eta.values
         diss_v = 0.5 / h * float(np.vdot(dw, dw).real + np.vdot(de, de).real) * vol
-        a0, _, _, _, _ = model.mobilities(v_new[0].values, v_new[1].values)
+        a0, _, _ = model.mobilities(v_new[0].values, v_new[1].values)
         dtheta = theta_new.values - state.theta.values
         diss_theta = 1.0 / h * float(np.sum(a0 * dtheta**2)) * vol
 

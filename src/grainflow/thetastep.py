@@ -50,17 +50,12 @@ from .grid import ScalarField, grad_operator_norm_bound, stencil
 from .model import ModelSpec, SolverError, require_finite
 
 __all__ = [
-    "ThetaNoConvergence",
     "ThetaStepParams",
     "ThetaStepReport",
     "StartRatio",
     "theta_step",
     "oracle_theta_min",
 ]
-
-
-class ThetaNoConvergence(SolverError):
-    """Gap still above tolerance after _MAX_ITERS Newton steps and PDHG sweeps."""
 
 
 @dataclass
@@ -94,12 +89,6 @@ class ThetaStepReport:
     linf_in: float
     linf_out: float
     dual: np.ndarray = field(default=None, repr=False, compare=False)  # (dim,) + grid shape
-
-
-def _mobility_weights(v_new, model: ModelSpec):
-    """(alpha0, alpha, beta) of v_new at the grid shape."""
-    w, e = v_new[0].values, v_new[1].values
-    return tuple(np.broadcast_to(c, w.shape) for c in model.mobilities(w, e)[:3])
 
 
 _R0 = {1: 0.125, 2: 0.0625}  # the default start ratio by grid dimension
@@ -155,7 +144,7 @@ def theta_step(theta_prev: ScalarField, v_new, model: ModelSpec, nu: float,
     the gap its dissipation budget can absorb.
     """
     grid = theta_prev.grid
-    a0, aw, bw = _mobility_weights(v_new, model)
+    a0, aw, bw = model.mobilities(v_new[0].values, v_new[1].values)
     nb = 2.0 * nu * bw if nu != 0.0 else None  # curvature weights of the dual prox
     loop = _PdhgLoop(theta_prev.values, a0, aw, nb, params.h, grid.dx, warm_dual)
     chosen = last = prev_hat = None
@@ -213,7 +202,7 @@ def theta_step(theta_prev: ScalarField, v_new, model: ModelSpec, nu: float,
             loop.set_steps(ratio / gn, 1.0 / (ratio * gn))
             gap_history.clear()
     if chosen is None:
-        raise ThetaNoConvergence(
+        raise SolverError(
             f"gap {last[1]:.3e} above tolerance after {_MAX_ITERS} iterations"
         )
 
@@ -500,7 +489,7 @@ def _dense_difference_ops(grid):
 
 def _theta_objective(theta: ScalarField, theta0: ScalarField, v, model, nu, h) -> float:
     """J(theta) of the module docstring, with theta0 as theta_prev."""
-    a0, _, _, _, _ = model.mobilities(v[0].values, v[1].values)
+    a0, _, _ = model.mobilities(v[0].values, v[1].values)
     vol = theta.grid.cell_volume
     data = 0.5 / h * float(np.sum(a0 * (theta.values - theta0.values) ** 2)) * vol
     return data + phi_nu(v, theta, model, nu)
@@ -523,7 +512,7 @@ def oracle_theta_min(theta_prev: ScalarField, v_new, model: ModelSpec, nu: float
         raise ValueError("oracle_theta_min is restricted to <= 64 cells")
     vol = grid.cell_volume
     t0 = theta_prev.values
-    a0, aw, bw = _mobility_weights(v_new, model)
+    a0, aw, bw = model.mobilities(v_new[0].values, v_new[1].values)
     linf = float(np.abs(t0).max())
 
     mats = _dense_difference_ops(grid)

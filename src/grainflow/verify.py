@@ -60,6 +60,16 @@ def _result(name, worst, tol, context) -> CheckResult:
     return CheckResult(name, bool(worst <= tol), float(worst), float(tol), context)
 
 
+_STEP_TOL = 1e-8  # dissipation, box and maximum principle, per step
+_ENERGY_BOUND_TOL = 1e-12
+_SANDWICH_GRID = GridSpec(2, (16, 16), 1.0)
+_SANDWICH_TOL = 1e-12
+_ORACLE_NUS = (0.0, 0.1)
+_ORACLE_TOL = 1e-6
+_ORACLE_GAP_BUDGET = 1e-8  # the duality gap counts as tol at this value
+_MODES = 5  # cosine terms of a smooth random field
+
+
 def _traj_context(traj: Trajectory) -> str:
     return f"h={traj.h:.6g} nu={traj.nu:.6g} steps={traj.n_steps}"
 
@@ -68,7 +78,7 @@ def _traj_context(traj: Trajectory) -> str:
 # trajectory checks
 # ---------------------------------------------------------------------------
 
-def check_dissipation(traj: Trajectory, tol: float = 1e-8) -> CheckResult:
+def check_dissipation(traj: Trajectory) -> CheckResult:
     """Per-step strong dissipation: both increment norms plus the new energy
     must not exceed the previous energy, normalized by 1 + |previous|."""
     worst = -math.inf
@@ -80,29 +90,28 @@ def check_dissipation(traj: Trajectory, tol: float = 1e-8) -> CheckResult:
             break
         viol = (rep.diss_v + rep.diss_theta + f_new - f_prev) / (1.0 + abs(f_prev))
         worst = max(worst, viol)
-    return _result("per-step energy dissipation", worst, tol, _traj_context(traj))
+    return _result("per-step energy dissipation", worst, _STEP_TOL, _traj_context(traj))
 
 
-def check_box(traj: Trajectory, tol: float = 1e-8) -> CheckResult:
+def check_box(traj: Trajectory) -> CheckResult:
     """Worst pointwise escape of (w, eta) from [o*, iota*] x [0, 1]."""
     worst = max((rep.box_violation for rep in traj.reports), default=0.0)
-    return _result("box invariance of (w, eta)", worst, tol, _traj_context(traj))
+    return _result("box invariance of (w, eta)", worst, _STEP_TOL, _traj_context(traj))
 
 
-def check_linfty(traj: Trajectory, tol: float = 1e-8) -> CheckResult:
+def check_linfty(traj: Trajectory) -> CheckResult:
     """Per-step maximum principle max|theta_i| <= max|theta_{i-1}|."""
     worst = max((rep.linf_theta - rep.linf_in for rep in traj.reports), default=0.0)
-    return _result("theta maximum principle", worst, tol, _traj_context(traj))
+    return _result("theta maximum principle", worst, _STEP_TOL, _traj_context(traj))
 
 
-def check_energy_bound(traj: Trajectory, model: ModelSpec, grid: GridSpec,
-                       tol: float = 1e-12) -> CheckResult:
+def check_energy_bound(traj: Trajectory, model: ModelSpec, grid: GridSpec) -> CheckResult:
     """|F_nu| stays below |F_nu(initial)| + |c*| |Omega| along the run."""
     f_star = abs(traj.energies[0].total) + abs(model.c_star) * grid.volume
     worst = max(
         (abs(e.total) - f_star) / (1.0 + f_star) for e in traj.energies
     )
-    return _result("uniform energy bound", worst, tol, _traj_context(traj))
+    return _result("uniform energy bound", worst, _ENERGY_BOUND_TOL, _traj_context(traj))
 
 
 # ---------------------------------------------------------------------------
@@ -110,17 +119,16 @@ def check_energy_bound(traj: Trajectory, model: ModelSpec, grid: GridSpec,
 # ---------------------------------------------------------------------------
 
 def check_gamma_sandwich(model: ModelSpec, nu: float, n_samples: int = 100,
-                         seed: int = 0, grid: GridSpec = None,
-                         tol: float = 1e-12) -> CheckResult:
+                         seed: int = 0) -> CheckResult:
     """Two-sided bound on Phi_nu by Phi_0 plus nu times the plain Dirichlet
-    sum, weighted below by delta1 and above by sup beta on the unit box."""
+    sum, weighted below by delta1 and above by sup beta on the unit box, on
+    a 16x16 grid."""
     if model.mobility.delta1 <= 0.0:
         raise ValueError("gamma sandwich requires a mobility with delta1 > 0")
-    if grid is None:
-        grid = GridSpec(2, (16, 16), 1.0)
+    grid = _SANDWICH_GRID
     rng = np.random.default_rng(seed)
     d1 = model.mobility.delta1
-    d_up = model.mobility.delta_star(1.0)
+    d_up = model.mobility.delta_star
     worst = -math.inf
     for _ in range(n_samples):
         w, e = random_admissible_v(grid, model, rng, full_unit_box=True)
@@ -135,7 +143,7 @@ def check_gamma_sandwich(model: ModelSpec, nu: float, n_samples: int = 100,
         worst = max(worst, lower_viol, upper_viol)
     return _result(
         "Phi_nu sandwich between delta1 and sup-beta Dirichlet envelopes",
-        worst, tol, f"nu={nu} samples={n_samples} seed={seed}",
+        worst, _SANDWICH_TOL, f"nu={nu} samples={n_samples} seed={seed}",
     )
 
 
@@ -162,12 +170,11 @@ def _rotating_model(j: int) -> ModelSpec:
     return ModelSpec(pots[j % 3], mobs[j % 2])
 
 
-def check_theta_oracle(n_instances: int = 20, seed: int = 0, nus=(0.0, 0.1),
-                       tol: float = 1e-6, gap_budget: float = 1e-8) -> CheckResult:
+def check_theta_oracle(n_instances: int = 20, seed: int = 0) -> CheckResult:
     """Primal objective of the primal-dual step against the reference oracle
-    on small instances.  The reported violation is the larger of the
-    normalized objective mismatch and the duality gap rescaled by
-    tol/gap_budget, so passed still means worst <= tol."""
+    on small instances, at nu = 0 and 0.1.  The reported violation is the
+    larger of the normalized objective mismatch and the duality gap rescaled
+    by tol/gap budget (1e-6/1e-8), so passed still means worst <= tol."""
     rng = np.random.default_rng(seed)
     worst = -math.inf
     for j in range(n_instances):
@@ -176,16 +183,16 @@ def check_theta_oracle(n_instances: int = 20, seed: int = 0, nus=(0.0, 0.1),
         h = 0.5 * h_star(model)
         v = random_admissible_v(grid, model, rng)
         theta0 = random_smooth_field(grid, rng, amplitude=0.8)
-        for nu in nus:
+        for nu in _ORACLE_NUS:
             params = ThetaStepParams(h=h, gap_tol=1e-11, check_every=16)
             theta_hat, rep = theta_step(theta0, v, model, nu, params)
             j_hat = _theta_objective(theta_hat, theta0, v, model, nu, h)
             _, j_oracle = oracle_theta_min(theta0, v, model, nu, h)
             mismatch = abs(j_hat - j_oracle) / (1.0 + abs(j_oracle))
-            worst = max(worst, mismatch, rep.duality_gap * (tol / gap_budget))
+            worst = max(worst, mismatch, rep.duality_gap * (_ORACLE_TOL / _ORACLE_GAP_BUDGET))
     return _result(
         "theta-step objective agrees with the reference oracle",
-        worst, tol, f"instances={n_instances} nus={tuple(nus)} seed={seed}",
+        worst, _ORACLE_TOL, f"instances={n_instances} nus={_ORACLE_NUS} seed={seed}",
     )
 
 
@@ -248,13 +255,12 @@ def nu_limit_study(init: PhaseState, model: ModelSpec, nu_schedule,
 # seeded random field generators
 # ---------------------------------------------------------------------------
 
-def random_smooth_field(grid: GridSpec, rng, amplitude: float = 1.0,
-                        modes: int = 5) -> ScalarField:
+def random_smooth_field(grid: GridSpec, rng, amplitude: float = 1.0) -> ScalarField:
     """Low-frequency cosine mixture normalized to the requested amplitude."""
     axes = [np.linspace(0.0, 1.0, n) for n in grid.shape]
     mesh = np.meshgrid(*axes, indexing="ij")
     f = np.zeros(grid.shape)
-    for _ in range(modes):
+    for _ in range(_MODES):
         coef = rng.normal()
         phase = rng.uniform(0.0, 1.0, size=grid.dim)
         ks = rng.integers(0, 4, size=grid.dim)

@@ -35,22 +35,11 @@ from .grid import ScalarField, grad_operator_norm_bound, stencil
 from .model import ModelSpec, SolverError, require_finite
 
 __all__ = [
-    "SolverError",
-    "OuterNoConvergence",
-    "InnerNoConvergence",
     "VStepParams",
     "VStepReport",
     "v_step",
     "v_step_perturbation_bound",
 ]
-
-
-class OuterNoConvergence(SolverError):
-    """Fixed-point outer loop exhausted max_outer (h too large relative to L)."""
-
-
-class InnerNoConvergence(SolverError):
-    """Proximal-gradient inner loop exhausted _MAX_INNER iterations."""
 
 
 _MAX_INNER = 100_000  # proximal-gradient iterations per inner solve
@@ -121,9 +110,9 @@ def v_step(v_prev, theta_prev: ScalarField, model: ModelSpec, nu: float,
 
     mob = model.mobility
     lip = 1.0 / h + grad_operator_norm_bound(grid)
-    lip += float(q1.max()) * mob.alpha_curvature_bound
+    lip += float(q1.max()) * mob.curvature_bound
     if q2 is not None:
-        lip += float(q2.max()) * mob.beta_curvature_bound
+        lip += float(q2.max()) * mob.curvature_bound
     tau = 1.0 / lip
 
     loop_args = (q1, q2, model, h, tau, stencil(grid.shape, dx, 2), vol, inner_tol,
@@ -144,8 +133,8 @@ def v_step(v_prev, theta_prev: ScalarField, model: ModelSpec, nu: float,
             v_old = v  # the inner loop does not write into its input
             try:
                 v, inner_iters, _ = _inner_prox_gradient(v, v_prev, g_frozen, *loop_args)
-            except InnerNoConvergence as err:
-                raise InnerNoConvergence(f"outer iteration {k + 1}: {err}") from None
+            except SolverError as err:
+                raise SolverError(f"outer iteration {k + 1}: {err}") from None
             inner_total += inner_iters
             diff = _pair_norm(v - v_old, vol)
             if prev_diff >= ratio_floor:
@@ -154,7 +143,7 @@ def v_step(v_prev, theta_prev: ScalarField, model: ModelSpec, nu: float,
             if diff <= outer_tol:
                 break
         else:
-            raise OuterNoConvergence(
+            raise SolverError(
                 f"fixed-point loop did not reach {outer_tol:.2e} in "
                 f"{params.max_outer} iterations (last diff {diff:.2e}); "
                 f"h={h} may be too large for L={model.c2_norm}"
@@ -217,7 +206,7 @@ def _inner_prox_gradient(v, v_prev, g_frozen, q1, q2, model: ModelSpec, h, tau,
         prev_diff = diff
         if diff <= inner_tol:
             return v, j + 1, ratio
-    raise InnerNoConvergence(
+    raise SolverError(
         f"inner proximal gradient did not reach {inner_tol:.2e} in {max_inner} "
         f"iterations (last diff {diff:.2e})"
     )

@@ -1,9 +1,11 @@
-"""Models and a recording sink shared by the test modules.
+"""Models, mobility gradients and a recording sink shared by the test modules.
 
 A module of its own, not conftest.py: perfbench/tests has a conftest.py
 too, and in a pytest run that collects both directories ``import conftest``
 can find that one.
 """
+
+import numpy as np
 
 from grainflow import MobilityKind, MobilitySpec, ModelSpec, Potential, PotentialSpec
 
@@ -27,6 +29,19 @@ def model_for(setting: str, mobility: str = None) -> ModelSpec:
     else:
         mob = MobilitySpec(MobilityKind.CONSTANT, a0=1.0, a=1.0, b=1.0)
     return ModelSpec(pot, mob)
+
+
+def mobility_gradients(spec: MobilitySpec, w, eta):
+    """(grad alpha, grad beta) at (w, eta), each a (d/dw, d/deta) pair of
+    arrays, from MobilitySpec.add_gradient_terms: q1 = 1 adds grad alpha
+    and q2 = 1 adds grad beta."""
+    shape = np.broadcast(w, eta).shape
+    grads = []
+    for q1, q2 in ((1.0, None), (0.0, 1.0)):
+        gw, ge = np.zeros(shape), np.zeros(shape)
+        spec.add_gradient_terms(q1, q2, w, eta, gw, ge, np.empty(shape))
+        grads.append((gw, ge))
+    return tuple(grads)
 
 
 class RecordingSink:

@@ -140,3 +140,85 @@ def test_params_fields_are_set_by_the_program():
     assert {name: sorted(init[name] - set_by[name]) for name in init} == {
         name: [] for name in init}
     assert init["SchemeParams"] == CONFIG_KEYS["scheme"] - {"h_frac"}
+
+
+def _program_sources():
+    """The program's own source files: the package and the benchmark."""
+    package = Path(grainflow.__file__).parent
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    paths = sorted(package.glob("*.py")) + sorted(perfbench.rglob("*.py"))
+    assert any(p.is_relative_to(perfbench) for p in paths)
+    return package, paths
+
+
+def test_defaulted_parameters_are_passed_by_the_program():
+    # every parameter with a default, of a public function or method of the
+    # package, is passed, by keyword or by position, by some call of the
+    # program, so that no default is a setting only tests reach.  A call is
+    # matched by the name it calls (import aliases resolved; a class call
+    # stands for its __init__); a *args or **kwargs argument passes them all.
+    exempt = {"cli.main.argv"}  # tests call the entry point with their own argv
+    package, paths = _program_sources()
+    defaulted = {}  # called name -> [(qualified parameter, position, keyword)]
+    passed = {}  # called name -> [(positional count, keywords)]
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        alias = {a.asname: a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                 for a in n.names if a.asname}
+        for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            starred = any(isinstance(a, ast.Starred) for a in call.args)
+            keywords = {k.arg for k in call.keywords}
+            passed.setdefault(alias.get(name, name), []).append(
+                (float("inf") if starred else len(call.args),
+                 None if None in keywords else keywords))
+        if path.parent != package:
+            continue
+        scopes = [(None, tree.body)] + [(c.name, c.body) for c in tree.body
+                                        if isinstance(c, ast.ClassDef)
+                                        and not c.name.startswith("_")]
+        for owner, body in scopes:
+            for fn in body:
+                if not isinstance(fn, ast.FunctionDef) or (
+                        fn.name.startswith("_") and fn.name != "__init__"):
+                    continue
+                args = fn.args.posonlyargs + fn.args.args
+                static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+                if owner is not None and not static:
+                    args = args[1:]  # self or cls
+                called = owner if fn.name == "__init__" else fn.name
+                qual = f"{path.stem}.{f'{owner}.' if owner else ''}{fn.name}"
+                first = len(args) - len(fn.args.defaults)
+                defaulted.setdefault(called, []).extend(
+                    (f"{qual}.{a.arg}", i, a.arg) for i, a in enumerate(args) if i >= first)
+                defaulted[called].extend(
+                    (f"{qual}.{a.arg}", None, a.arg)
+                    for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None)
+
+    def is_passed(called, position, keyword):
+        return any(kws is None or keyword in kws or (position is not None and n_pos > position)
+                   for n_pos, kws in passed.get(called, ()))
+
+    never = sorted(qual for called, params in defaulted.items()
+                   for qual, position, keyword in params
+                   if qual not in exempt and not is_passed(called, position, keyword))
+    assert never == []
+
+
+def test_exception_types_are_caught_by_the_program():
+    # every exception class the package defines is named in some except
+    # clause of the program, so none is a distinction only tests draw
+    package, paths = _program_sources()
+    defined = set()
+    for name in MODULES:
+        module = importlib.import_module(f"grainflow.{name}")
+        defined |= {n for n, obj in vars(module).items()
+                    if isinstance(obj, type) and issubclass(obj, BaseException)
+                    and obj.__module__ == module.__name__}
+    caught = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                caught |= {getattr(t, "id", getattr(t, "attr", None)) for t in types}
+    assert sorted(defined - caught) == []

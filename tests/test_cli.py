@@ -1,5 +1,6 @@
 import filecmp
 import os
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from grainflow.cli import (
     make_initial,
     parse_config,
 )
-from grainflow import h_star
+from grainflow import h_star, thetastep
 from grainflow.grid import GridSpec
 from grainflow.scheme import validate_initial
 
@@ -357,6 +358,45 @@ def test_probe_contraction_override_records_flagged(tmp_path):
 def test_config_error_exit_code(tmp_path):
     path = write_cfg(tmp_path, "[grid]\nshape 12\n")
     assert main(["run", "--config", path]) == 2
+
+
+def test_unreadable_config_path_is_a_config_error(tmp_path, capsys):
+    # a missing file and a directory: exit 2 naming the path, nothing made
+    for config in (tmp_path / "missing.cfg", tmp_path):
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {config}: cannot read the config (")
+    assert not (tmp_path / "o").exists()
+
+
+def test_empty_output_directory_is_a_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    path = write_cfg(tmp_path, BASE.format(out=""))
+    for extra in ([], ["--out", ""]):
+        assert main(["run", "--config", path, *extra]) == 2
+        assert "config error: output.directory: cannot parse '' (must not be empty)" in (
+            capsys.readouterr().err)
+    assert os.listdir(tmp_path) == ["run.cfg"]
+
+
+def test_os_error_exits_3(tmp_path, capsys):
+    # --out names an existing file: the directory cannot be made
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    path = write_cfg(tmp_path, BASE.format(out=tmp_path / "o"))
+    assert main(["run", "--config", path, "--out", str(taken)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(taken) in err
+    assert taken.read_text() == ""
+
+
+def test_solver_failure_exits_3(tmp_path, capsys, monkeypatch):
+    # 2D, where the theta-step runs PDHG sweeps: five cannot meet the gap
+    text = BASE.format(out=tmp_path / "o").replace("dim = 1\nshape = 24", "dim = 2\nshape = 6x6")
+    monkeypatch.setattr(thetastep, "_MAX_ITERS", 5)
+    assert main(["run", "--config", write_cfg(tmp_path, text)]) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: step 1: gap \S+ above tolerance after 5 iterations\n", err)
 
 
 @pytest.mark.parametrize("old, new, message", [

@@ -87,7 +87,7 @@ def test_phi_nu_difference_identity(g1_model, rng):
         theta = random_smooth_field(grid, rng, 1.0)
         p0 = phi_nu(v, theta, g1_model, 0.0)
         pn = phi_nu(v, theta, g1_model, nu)
-        _, _, b, _, _ = g1_model.mobilities(v[0].values, v[1].values)
+        _, _, b = g1_model.mobilities(v[0].values, v[1].values)
         comps = grad_slices(theta.values, grid.dx)
         quad = nu * float(np.sum(b * sum(c**2 for c in comps))) * grid.cell_volume
         assert pn - p0 == pytest.approx(quad, rel=1e-12)
@@ -97,7 +97,7 @@ def test_phi_nu_sandwich(g1_model, rng):
     grid = GridSpec(2, (12, 12), 1.0)
     nu = 0.1
     d1 = g1_model.mobility.delta1
-    d_up = g1_model.mobility.delta_star(1.0)
+    d_up = g1_model.mobility.delta_star
     for _ in range(30):
         v = random_admissible_v(grid, g1_model, rng, full_unit_box=True)
         theta = random_smooth_field(grid, rng, 1.0)

@@ -23,6 +23,8 @@ from grainflow import (
 from grainflow import model as model_module
 from grainflow.model import hessian_g
 
+from grainflow_testkit import mobility_gradients
+
 G1 = PotentialSpec(Potential.POLYNOMIAL)
 G2 = PotentialSpec(Potential.LOGARITHMIC, o_star=0.05, iota_star=0.95)
 G3 = PotentialSpec(Potential.INDICATOR)
@@ -309,18 +311,19 @@ CONST = MobilitySpec(MobilityKind.CONSTANT, a0=1.0, a=1.0, b=1.0)
 
 
 def test_mobility_original_values():
-    a0, a, b, _, _ = mobility_eval(KOB, 1.0, 1.0)
+    a0, a, b = mobility_eval(KOB, 1.0, 1.0)
     assert a == 0.5 and b == 0.5 and a0 == 0.5
 
 
 def test_mobility_constant():
-    a0, a, b, ga, gb = mobility_eval(CONST, 0.3, -2.0)
+    a0, a, b = mobility_eval(CONST, 0.3, -2.0)
     assert (a0, a, b) == (1.0, 1.0, 1.0)
-    assert float(ga[0]) == 0.0 and float(gb[1]) == 0.0
+    ga, gb = mobility_gradients(CONST, 0.3, -2.0)
+    assert not np.any(ga) and not np.any(gb)
 
 
 def test_mobility_safeguard_floor():
-    a0, a, b, _, _ = mobility_eval(KOB_SAFE, 0.0, 0.0)
+    a0, a, b = mobility_eval(KOB_SAFE, 0.0, 0.0)
     assert a0 == a == b == 0.01
     assert KOB_SAFE.delta1 == 0.01
     assert KOB_SAFE.delta0 == 0.01
@@ -331,7 +334,7 @@ def test_mobility_gradients_match_finite_differences(rng):
     pts = rng.uniform(-1.0, 2.0, size=(300, 2))
     step = 1e-6
     for w, e in pts:
-        _, a_p, b_p, ga, gb = mobility_eval(KOB_SAFE, w, e)
+        ga, gb = mobility_gradients(KOB_SAFE, w, e)
         fd_aw = (mobility_eval(KOB_SAFE, w + step, e)[1]
                  - mobility_eval(KOB_SAFE, w - step, e)[1]) / (2 * step)
         fd_ae = (mobility_eval(KOB_SAFE, w, e + step)[1]
@@ -346,15 +349,24 @@ def test_mobility_gradients_match_finite_differences(rng):
 @pytest.mark.parametrize("nu", [0.0, 0.1])
 @pytest.mark.parametrize("spec", [KOB_SAFE, CONST], ids=["kobayashi", "constant"])
 def test_add_gradient_terms_matches_mobility_eval(spec, nu, rng):
+    # (gw, ge) += q1 grad(alpha) + q2 grad(beta), in place, with the
+    # gradients of mobility_eval's alpha and beta: central differences are
+    # exact for these quadratics up to rounding
     w, e, q1 = rng.uniform(-0.5, 1.5, size=(3, 40))
     q2 = nu * q1**2 if nu else None
     gw, ge = rng.normal(size=(2, 40))
-    _, _, _, ga, gb = mobility_eval(spec, w, e)
-    want_w, want_e = gw + q1 * ga[0], ge + q1 * ga[1]
+    step = 1e-3
+
+    def fd(k, dw, de):
+        return (mobility_eval(spec, w + dw, e + de)[k]
+                - mobility_eval(spec, w - dw, e - de)[k]) / (2 * step)
+
+    want_w, want_e = gw + q1 * fd(1, step, 0.0), ge + q1 * fd(1, 0.0, step)
     if q2 is not None:
-        want_w, want_e = want_w + q2 * gb[0], want_e + q2 * gb[1]
+        want_w, want_e = want_w + q2 * fd(2, step, 0.0), want_e + q2 * fd(2, 0.0, step)
     spec.add_gradient_terms(q1, q2, w, e, gw, ge, np.empty(40))
-    assert np.array_equal(gw, want_w) and np.array_equal(ge, want_e)
+    assert np.allclose(gw, want_w, rtol=0.0, atol=1e-9)
+    assert np.allclose(ge, want_e, rtol=0.0, atol=1e-9)
 
 
 def test_mobility_nonnegative_and_midpoint_convex(rng):
@@ -363,17 +375,17 @@ def test_mobility_nonnegative_and_midpoint_convex(rng):
         q = rng.uniform(-2.0, 3.0, size=2)
         mid = 0.5 * (p + q)
         for spec in (KOB_SAFE, CONST):
-            _, ap, bp, _, _ = mobility_eval(spec, *p)
-            _, aq, bq, _, _ = mobility_eval(spec, *q)
-            _, am, bm, _, _ = mobility_eval(spec, *mid)
+            _, ap, bp = mobility_eval(spec, *p)
+            _, aq, bq = mobility_eval(spec, *q)
+            _, am, bm = mobility_eval(spec, *mid)
             assert ap >= 0 and bp >= 0
             assert am <= 0.5 * (ap + aq) + 1e-12
             assert bm <= 0.5 * (bp + bq) + 1e-12
 
 
 def test_delta_star_is_sup_of_beta():
-    assert KOB_SAFE.delta_star(1.0) == pytest.approx(0.51)
-    assert CONST.delta_star(1.0) == 1.0
+    assert KOB_SAFE.delta_star == pytest.approx(0.51)
+    assert CONST.delta_star == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -400,10 +412,11 @@ def test_c2_norm_polynomial_analytic():
 
 
 @pytest.mark.parametrize("c", [0.5, 1.0, 10.0])
-def test_c2_norm_sampling_converged(c):
+def test_c2_norm_sampling_converged(c, monkeypatch):
     spec = PotentialSpec(Potential.POLYNOMIAL, c=c)
-    coarse = estimate_c2_norm(spec, samples=401)
-    fine = estimate_c2_norm(spec, samples=801)
+    coarse = estimate_c2_norm(spec)
+    monkeypatch.setattr(model_module, "_SAMPLES", 801)
+    fine = estimate_c2_norm(spec)
     assert abs(fine - coarse) <= 1e-3 * fine
 
 
@@ -413,8 +426,9 @@ def test_constants_do_not_depend_on_the_lattice_blocks(spec, samples, monkeypatc
     # the lattice is sampled a few rows at a time; one block of every row is
     # the dense evaluation, and both must agree bit for bit
     def constants():
-        return [estimate_c2_norm(spec, samples).hex(), estimate_c_star(spec, samples).hex()]
+        return [estimate_c2_norm(spec).hex(), estimate_c_star(spec).hex()]
 
+    monkeypatch.setattr(model_module, "_SAMPLES", samples)
     chunked = constants()
     monkeypatch.setattr(model_module, "_LATTICE_ROWS", samples)
     assert constants() == chunked
@@ -422,9 +436,10 @@ def test_constants_do_not_depend_on_the_lattice_blocks(spec, samples, monkeypatc
 
 @pytest.mark.parametrize("samples", [0, 1])
 @pytest.mark.parametrize("estimate", [estimate_c2_norm, estimate_c_star])
-def test_constants_need_a_2x2_lattice(estimate, samples):
+def test_constants_need_a_2x2_lattice(estimate, samples, monkeypatch):
+    monkeypatch.setattr(model_module, "_SAMPLES", samples)
     with pytest.raises(ValueError, match="need at least a 2x2 sampling lattice"):
-        estimate(G1, samples)
+        estimate(G1)
 
 
 @pytest.mark.parametrize("spec", [G1, G2, G3], ids=["g1", "g2", "g3"])

@@ -9,7 +9,6 @@ from grainflow import (
     Potential,
     PotentialSpec,
     ScalarField,
-    ThetaNoConvergence,
     ThetaStepParams,
     h_star,
     oracle_theta_min,
@@ -18,7 +17,8 @@ from grainflow import (
 from grainflow.energy import phi_nu
 from grainflow.grid import grad_operator_norm_bound
 from grainflow import thetastep
-from grainflow.thetastep import _dual_newton, _mobility_weights, _PdhgLoop, _thomas
+from grainflow.model import SolverError
+from grainflow.thetastep import _dual_newton, _PdhgLoop, _thomas
 from grainflow.verify import _theta_objective, random_admissible_v, random_smooth_field
 
 from grainflow_testkit import model_for
@@ -85,7 +85,7 @@ def test_energy_decrease_reported_nonnegative_up_to_gap(g1_model, rng):
     theta0 = random_smooth_field(grid, rng, 0.8)
     h = bench_h(g1_model)
     out, rep = theta_step(theta0, v, g1_model, 0.1, ThetaStepParams(h=h, gap_tol=1e-11))
-    a0, _, _ = _mobility_weights(v, g1_model)
+    a0, _, _ = g1_model.mobilities(v[0].values, v[1].values)
     d = out.values - theta0.values
     margin = (phi_nu(v, theta0, g1_model, 0.1) - phi_nu(v, out, g1_model, 0.1)
               - float(np.sum(a0 * d * d)) * grid.cell_volume / h)
@@ -117,7 +117,7 @@ def test_pdhg_loop_matches_reference_sweeps(g1_model, rng, shape, dx, nu):
     grid = GridSpec(len(shape), shape, dx)
     h = bench_h(g1_model)
     v = random_admissible_v(grid, g1_model, rng)
-    a0, aw, bw = (np.broadcast_to(c, shape) for c in _mobility_weights(v, g1_model))
+    a0, aw, bw = g1_model.mobilities(v[0].values, v[1].values)
     nb = 2.0 * nu * bw if nu != 0.0 else None
     t0 = random_smooth_field(grid, rng, 0.8).values
     # a dual inside the ball whose far-boundary entries are 0, as in a run
@@ -145,7 +145,7 @@ def test_certificate_matches_reference_gap(g1_model, rng, shape, dx, nu):
     grid = GridSpec(len(shape), shape, dx)
     h, vol = bench_h(g1_model), grid.cell_volume
     v = random_admissible_v(grid, g1_model, rng)
-    a0, aw, bw = _mobility_weights(v, g1_model)
+    a0, aw, bw = g1_model.mobilities(v[0].values, v[1].values)
     nb = 2.0 * nu * bw if nu != 0.0 else None
     theta0 = ScalarField(grid, 0.8 * np.tanh(rng.normal(size=shape)))  # rough, slow to solve
     t0 = theta0.values
@@ -189,7 +189,7 @@ def test_dual_is_projected_onto_the_ball(g1_model, rng, nu):
     grid = GridSpec(2, shape, 1.0)
     h = bench_h(g1_model)
     v = random_admissible_v(grid, g1_model, rng)
-    a0, aw, bw = (np.broadcast_to(c, shape) for c in _mobility_weights(v, g1_model))
+    a0, aw, bw = g1_model.mobilities(v[0].values, v[1].values)
     nb = np.where(np.arange(bw.size).reshape(shape) % 2 == 0, 0.0, 2.0 * nu * bw) if nu else None
     ball = np.ones(shape, bool) if nb is None else nb == 0.0
     theta0 = ScalarField(grid, 0.8 * np.tanh(rng.normal(size=shape)))
@@ -223,7 +223,7 @@ def test_weighted_l2_nonexpansive(g1_model, rng):
     vol = grid.cell_volume
     for nu in (0.0, 0.1):
         v = random_admissible_v(grid, g1_model, rng)
-        a0, _, _ = _mobility_weights(v, g1_model)
+        a0, _, _ = g1_model.mobilities(v[0].values, v[1].values)
         t01 = random_smooth_field(grid, rng, 0.6)
         t02 = ScalarField(grid, t01.values + 0.1
                           + np.abs(random_smooth_field(grid, rng, 0.3).values))
@@ -292,7 +292,8 @@ def test_newton_restart_from_converged_nu0_dual_takes_no_step(rng, monkeypatch, 
     monkeypatch.setattr(thetastep, "_dual_value", lambda *a: calls.append(1) or value(*a))
     for _ in range(3):
         theta = random_smooth_field(grid, rng, 0.8)
-        a0, aw, _ = _mobility_weights(random_admissible_v(grid, model, rng), model)
+        v = random_admissible_v(grid, model, rng)
+        a0, aw, _ = model.mobilities(v[0].values, v[1].values)
         loop = _PdhgLoop(theta.values, a0, aw, None, bench_h(model), dx)
         _dual_newton(loop)
         _, gap, j_hat = loop.certify()
@@ -423,7 +424,7 @@ def test_no_convergence_raised(g1_model, rng, monkeypatch):
     v = random_admissible_v(grid, g1_model, rng)
     theta0 = random_smooth_field(grid, rng, 0.8)
     monkeypatch.setattr(thetastep, "_MAX_ITERS", 10)
-    with pytest.raises(ThetaNoConvergence, match="after 10 iterations"):
+    with pytest.raises(SolverError, match="after 10 iterations"):
         theta_step(theta0, v, g1_model, 0.1, ThetaStepParams(h=0.05, gap_tol=1e-300))
 
 

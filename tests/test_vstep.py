@@ -15,9 +15,9 @@ from grainflow.model import gamma_eval
 from grainflow.verify import random_admissible_v, random_smooth_field
 from grainflow import vstep
 from grainflow.grid import Stencil, grad_operator_norm_bound, stencil
-from grainflow.vstep import InnerNoConvergence, OuterNoConvergence
+from grainflow.model import SolverError
 
-from grainflow_testkit import model_for
+from grainflow_testkit import mobility_gradients, model_for
 from slice_reference import laplacian_slices
 
 
@@ -193,11 +193,11 @@ def test_solver_failure_modes(g1_model, rng, monkeypatch):
     grid = GridSpec(1, (16,), 1.0)
     v0 = random_admissible_v(grid, g1_model, rng)
     theta = random_smooth_field(grid, rng, 0.8)
-    with pytest.raises(OuterNoConvergence):
+    with pytest.raises(SolverError, match="^fixed-point loop did not reach .* in 1 iterations"):
         v_step(v0, theta, g1_model, 0.1, VStepParams(h=bench_h(g1_model), max_outer=1))
     where = r"^outer iteration 1: .* in 3 iterations \(last diff \d\.\d\de[-+]\d+\)$"
     monkeypatch.setattr(vstep, "_MAX_INNER", 3)
-    with pytest.raises(InnerNoConvergence, match=where):
+    with pytest.raises(SolverError, match=where):
         v_step(v0, theta, g1_model, 0.1, VStepParams(h=bench_h(g1_model), inner_tol=1e-300))
 
 
@@ -218,13 +218,13 @@ def test_params_validation():
 
 def reference_inner_prox_gradient(w, e, w_prev, e_prev, gw_frozen, ge_frozen, q1, q2,
                                   model, h, tau, stencil, vol, inner_tol, max_inner):
-    """The inner loop written per field, with fresh temporaries and
-    ``model.mobilities`` in every iteration, in the float operations and
-    order of the solver's."""
+    """The inner loop written per field, with fresh temporaries and the
+    gradients of alpha and beta taken apart in every iteration, in the float
+    operations and order of the solver's."""
     inv_h = 1.0 / h
     lap = np.empty(w.shape)
     for j in range(max_inner):
-        _, _, _, grad_a, grad_b = model.mobilities(w, e)
+        grad_a, grad_b = mobility_gradients(model.mobility, w, e)
         gw = inv_h * (w - w_prev) - stencil.laplacian(w, lap) + gw_frozen + q1 * grad_a[0]
         ge = inv_h * (e - e_prev) - stencil.laplacian(e, lap) + ge_frozen + q1 * grad_a[1]
         if q2 is not None:
@@ -283,9 +283,9 @@ def rho_star(theta, model, nu, h, grid):
     """1 - tau (1/h - L), with the step tau computed as v_step computes it."""
     q1 = np.sqrt(stencil(grid.shape, grid.dx).sq_grad(theta.values))
     lip = 1.0 / h + grad_operator_norm_bound(grid)
-    lip += float(q1.max()) * model.mobility.alpha_curvature_bound
+    lip += float(q1.max()) * model.mobility.curvature_bound
     if nu != 0.0:
-        lip += float((nu * q1**2).max()) * model.mobility.beta_curvature_bound
+        lip += float((nu * q1**2).max()) * model.mobility.curvature_bound
     return 1.0 - (1.0 / h - model.c2_norm) / lip
 
 
@@ -322,5 +322,5 @@ def test_fused_loop_never_returns_unconverged(g2_model, rng, monkeypatch):
     assert exact == rep
     where = rf"^inner proximal gradient did not reach .* in {n - 1} iterations"
     monkeypatch.setattr(vstep, "_MAX_INNER", n - 1)
-    with pytest.raises(InnerNoConvergence, match=where):
+    with pytest.raises(SolverError, match=where):
         v_step(v0, theta, g2_model, 0.1, params, fused=True)
