@@ -197,7 +197,7 @@ def test_step_errors_carry_index(g1_model, monkeypatch):
     init = make_initial("random", grid, g1_model, seed=7)
     params = SchemeParams(h=0.5 * h_star(g1_model), nu=0.1, n_steps=3, gap_tol=1e-300)
     monkeypatch.setattr(thetastep, "_MAX_ITERS", 5)
-    with pytest.raises(SolverError, match="step 1"):
+    with pytest.raises(SolverError, match=r"^step 1: gap .* above tolerance after 5 "):
         run(init, g1_model, params)
 
 
