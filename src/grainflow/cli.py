@@ -26,7 +26,6 @@ is flat sectioned key-value text::
     nu = 0.1
     n_steps = 100
     record_every = 10
-    # optional solver tolerances: inner_tol, gap_tol
 
     [init]
     kind = random           # wells | random | grains
@@ -45,16 +44,17 @@ is flat sectioned key-value text::
     [probe]
     n_probes = 20           # v-steps measured by probe-contraction
 
-Lines starting with ``#`` and inline ``#`` comments are ignored; values may
-be quoted, and a quote must close, with the mark that opened it, before any
-``#``; only that pair is stripped, and a value may not end in a quote it did
-not open.  A key may be given once per section, even across repeated
-headers of that section.  Subcommands: run, verify, sweep-nu,
+A config is UTF-8 text.  Lines starting with ``#`` and inline ``#`` comments
+are ignored; values may be quoted, and a quote must close, with the mark that
+opened it, before any ``#``; only that pair is stripped, and a value may not
+end in a quote it did not open.  A key may be given once per section, even
+across repeated headers of that section.  Subcommands: run, verify, sweep-nu,
 probe-contraction.  A config is valid or invalid whatever the subcommand:
-every value is read and checked before anything is written.  Exit status:
-0 ok, 1 a check failed, 2 config error (the message names the key, or the
-path of a config that cannot be read; an empty output.directory is one), 3
-any other error, such as an OS error or a SolverError.
+every value is read and checked before anything is written.  Exit status: 0
+ok, 1 a check failed, 2 config error (the message names the key, the path of
+a config that cannot be read, or the path:line of a byte that is not UTF-8;
+an empty output.directory is one), 3 any other error, such as an OS error or
+a SolverError.
 """
 
 from __future__ import annotations
@@ -99,8 +99,7 @@ class ConfigError(ValueError):
 CONFIG_KEYS = {
     "model": {"potential", "c", "u", "o_star", "iota_star", "mobility", "kappa", "a0", "a", "b"},
     "grid": {"dim", "shape", "dx"},
-    "scheme": {"h", "h_frac", "nu", "n_steps", "record_every", "override_h_gate", "inner_tol",
-               "gap_tol"},
+    "scheme": {"h", "h_frac", "nu", "n_steps", "record_every", "override_h_gate"},
     "init": {"kind", "seed", "amplitude", "n_grains"},
     "output": {"directory", "formats"},
     "verify": {"n_oracle"}, "sweep": {"nus"}, "probe": {"n_probes"},
@@ -165,11 +164,15 @@ def parse_config(path) -> RunConfig:
     first_line = {}
     current = None
     try:
-        fh = open(path)
+        fh = open(path, encoding="utf-8", errors="surrogateescape")  # checked per line
     except OSError as err:
         raise ConfigError(f"{path}: cannot read the config ({err.strerror})") from None
     with fh:
         for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.encode(errors="surrogateescape").decode()
+            except UnicodeDecodeError as err:
+                raise ConfigError(f"{path}:{lineno}: the config is not UTF-8 ({err})") from None
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -261,8 +264,6 @@ def build_scheme_params(cfg: RunConfig, model: ModelSpec, override_h_gate=False)
             record_every=cfg.get("scheme", "record_every", default=1, cast=int),
             override_h_gate=(cfg.get("scheme", "override_h_gate", default=False, cast=bool)
                              or override_h_gate),
-            inner_tol=cfg.get("scheme", "inner_tol", default=None, cast=float),
-            gap_tol=cfg.get("scheme", "gap_tol", default=1e-10, cast=float),
         )
     try:
         outside_hypotheses(model, params)

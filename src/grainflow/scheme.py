@@ -21,7 +21,7 @@ sink passed to :func:`run`, at the record steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,20 +56,15 @@ def h_star(model: ModelSpec) -> float:
 
 @dataclass
 class SchemeParams:
-    """The config's [scheme] section, h given directly; ``vstep`` and
-    ``thetastep`` are built from h, inner_tol and gap_tol.  :func:`run` widens
-    the theta-step's relative gap_tol to the dissipation budget
-    1e-9 * (1 + |F_prev|), the larger of the two at the default gap_tol."""
+    """The config's [scheme] section, h given directly.  The tolerances are
+    fixed: :func:`run` stops each v-step at 1e-12 * sqrt(|Omega|) and each
+    theta-solve at the dissipation budget 1e-9 * (1 + |F_prev|)."""
 
     h: float
     nu: float = 0.0
     n_steps: int = 1
     record_every: int = 1
     override_h_gate: bool = False
-    inner_tol: float = None
-    gap_tol: float = 1e-10
-    vstep: VStepParams = field(init=False, repr=False, compare=False)
-    thetastep: ThetaStepParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         require_finite(self, "h", "nu")
@@ -81,8 +76,6 @@ class SchemeParams:
             raise ValueError("n_steps must be >= 1")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
-        self.vstep = VStepParams(h=self.h, inner_tol=self.inner_tol)
-        self.thetastep = ThetaStepParams(h=self.h, gap_tol=self.gap_tol)
 
 
 @dataclass
@@ -164,6 +157,7 @@ def run(init: PhaseState, model: ModelSpec, params: SchemeParams, sink=None) -> 
     energies = [free_energy(state, model, nu)]
     reports = []
     t_grid = h * np.arange(params.n_steps + 1)
+    vparams, tparams = VStepParams(h=h), ThetaStepParams(h=h)
     warm_dual = None
     start = StartRatio(init.grid.dim)
 
@@ -173,9 +167,9 @@ def run(init: PhaseState, model: ModelSpec, params: SchemeParams, sink=None) -> 
         gap_budget = 1e-9 * (1.0 + abs(energies[-1].total))
         ratio = start.propose()
         try:
-            v_new, vrep = v_step((state.w, state.eta), state.theta, model, nu, params.vstep,
+            v_new, vrep = v_step((state.w, state.eta), state.theta, model, nu, vparams,
                                  fused=True)
-            theta_new, trep = theta_step(state.theta, v_new, model, nu, params.thetastep,
+            theta_new, trep = theta_step(state.theta, v_new, model, nu, tparams,
                                          warm_dual=warm_dual, gap_abs=gap_budget,
                                          start_ratio=ratio)
         except SolverError as err:

@@ -62,10 +62,10 @@ __all__ = [
 class ThetaStepParams:
     """gap_tol is relative: a solve stops once the gap at the iterate it
     returns, checked every check_every sweeps, is <= max(gap_tol (1 + |J|),
-    gap_abs); the time loop's gap_abs, 1e-9 (1 + |F_prev|), is the larger at
-    the default gap_tol.  The step sizes keep tau*sigma*||grad||^2 = 1 and
-    adapt only through the stall rule in the module docstring; the output is
-    certificate-checked either way."""
+    gap_abs); in the time loop gap_abs, 1e-9 (1 + |F_prev|), decides (the
+    first term was at most 9% of it on the benchmark).  The step sizes keep
+    tau*sigma*||grad||^2 = 1 and adapt only through the stall rule in the
+    module docstring; the output is certificate-checked either way."""
 
     h: float
     gap_tol: float = 1e-10
@@ -141,7 +141,7 @@ def theta_step(theta_prev: ScalarField, v_new, model: ModelSpec, nu: float,
     ``_MAX_ITERS`` caps their sum.
     ``gap_abs`` optionally widens the stopping rule to
     max(gap_tol*(1+|J|), gap_abs); the time loop uses it to request exactly
-    the gap its dissipation budget can absorb.
+    the gap its dissipation budget can absorb, and there gap_abs decides.
     """
     grid = theta_prev.grid
     a0, aw, bw = model.mobilities(v_new[0].values, v_new[1].values)
@@ -149,10 +149,14 @@ def theta_step(theta_prev: ScalarField, v_new, model: ModelSpec, nu: float,
     loop = _PdhgLoop(theta_prev.values, a0, aw, nb, params.h, grid.dx, warm_dual)
     chosen = last = prev_hat = None
     iters = newton = 0
+
+    def stop_gap(j):  # the gap a solve stops at, J = j at its iterate
+        return max(params.gap_tol * (1.0 + abs(j)), gap_abs)
+
     if grid.dim == 1 and loop.reconstructable and (nb is None or float(nb.min()) > 0.0):
         iters = newton = _dual_newton(loop)
         last = loop.certify()
-        if last[1] <= max(params.gap_tol * (1.0 + abs(last[2])), gap_abs):
+        if last[1] <= stop_gap(last[2]):
             chosen = last
 
     gn = np.sqrt(grad_operator_norm_bound(grid))
@@ -168,7 +172,7 @@ def theta_step(theta_prev: ScalarField, v_new, model: ModelSpec, nu: float,
         iters += burst
         last = loop.certify()
         t_hat, gap, j_hat = last
-        tol_eff = max(params.gap_tol * (1.0 + abs(j_hat)), gap_abs)
+        tol_eff = stop_gap(j_hat)
         if gap <= tol_eff:
             chosen = last
             break

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -140,6 +141,20 @@ def test_params_fields_are_set_by_the_program():
     assert {name: sorted(init[name] - set_by[name]) for name in init} == {
         name: [] for name in init}
     assert init["SchemeParams"] == CONFIG_KEYS["scheme"] - {"h_frac"}
+
+
+def test_readme_states_the_scheme_params_signature():
+    # the README's SchemeParams(...) block names the init fields of the
+    # dataclass, in order, with their literal defaults
+    from grainflow.scheme import SchemeParams
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(SchemeParams\(.*?\))\n```", readme, re.S)
+    assert len(blocks) == 1
+    call = ast.parse(blocks[0], mode="eval").body
+    stated = [(a.id, dataclasses.MISSING) for a in call.args] + [
+        (k.arg, ast.literal_eval(k.value)) for k in call.keywords]
+    assert stated == [(f.name, f.default) for f in dataclasses.fields(SchemeParams) if f.init]
 
 
 def _program_sources():

@@ -140,11 +140,11 @@ def test_nu_limit_study_validates_schedule(g1_model):
             nu_limit_study(init, g1_model, bad, params)
 
 
-def test_nu_limit_study_passes_solver_tolerances(g1_model, monkeypatch):
+def test_nu_limit_study_passes_h_and_n_steps(g1_model, monkeypatch):
     grid = GridSpec(1, (16,), 1.0)
     init = make_initial("random", grid, g1_model, seed=1)
     h = 0.5 * h_star(g1_model)
-    params = SchemeParams(h=h, nu=0.5, n_steps=2, inner_tol=1e-7, gap_tol=1e-6)
+    params = SchemeParams(h=h, nu=0.5, n_steps=2)
     seen = []
 
     def spy(init_state, model, p):
@@ -155,8 +155,7 @@ def test_nu_limit_study_passes_solver_tolerances(g1_model, monkeypatch):
     nu_limit_study(init, g1_model, [0.5, 0.05], params)
     assert [p.nu for p in seen] == [0.5, 0.05]
     for p in seen:
-        assert p.vstep.inner_tol == 1e-7
-        assert p.thetastep.gap_tol == 1e-6
+        assert (p.h, p.n_steps) == (h, 2)
 
 
 def test_nu_zero_included_as_last_entry(g1_model):
