@@ -37,7 +37,6 @@ from .scheme import (
     validate_initial,
 )
 from .thetastep import (
-    ThetaStepParams,
     ThetaStepReport,
     oracle_theta_min,
     theta_step,
@@ -56,7 +55,6 @@ from .verify import (
     random_smooth_field,
 )
 from .vstep import (
-    VStepParams,
     VStepReport,
     v_step,
     v_step_perturbation_bound,

@@ -44,17 +44,17 @@ is flat sectioned key-value text::
     [probe]
     n_probes = 20           # v-steps measured by probe-contraction
 
-A config is UTF-8 text.  Lines starting with ``#`` and inline ``#`` comments
-are ignored; values may be quoted, and a quote must close, with the mark that
-opened it, before any ``#``; only that pair is stripped, and a value may not
-end in a quote it did not open.  A key may be given once per section, even
-across repeated headers of that section.  Subcommands: run, verify, sweep-nu,
-probe-contraction.  A config is valid or invalid whatever the subcommand:
-every value is read and checked before anything is written.  Exit status: 0
-ok, 1 a check failed, 2 config error (the message names the key, the path of
-a config that cannot be read, or the path:line of a byte that is not UTF-8;
-an empty output.directory is one), 3 any other error, such as an OS error or
-a SolverError.
+A config is UTF-8 text; a leading byte-order mark is dropped.  Lines
+starting with ``#`` and inline ``#`` comments are ignored; values may be
+quoted, and a quote must close, with the mark that opened it, before any
+``#``; only that pair is stripped, and a value may not end in a quote it did
+not open.  A key may be given once per section, even across repeated headers
+of that section.  Subcommands: run, verify, sweep-nu, probe-contraction.  A
+config is valid or invalid whatever the subcommand: every value is read and
+checked before anything is written.  Exit status: 0 ok, 1 a check failed, 2
+config error (the message names the key, the path of a config that cannot be
+read, or the path:line of a byte that is not UTF-8; an empty output.directory
+is one), 3 any other error, such as an OS error or a SolverError.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ from .verify import (
     random_smooth_field,
     validate_nu_schedule,
 )
-from .vstep import VStepParams, v_step
+from .vstep import v_step
 
 __all__ = ["RunConfig", "parse_config", "make_initial", "main"]
 
@@ -164,7 +164,7 @@ def parse_config(path) -> RunConfig:
     first_line = {}
     current = None
     try:
-        fh = open(path, encoding="utf-8", errors="surrogateescape")  # checked per line
+        fh = open(path, encoding="utf-8-sig", errors="surrogateescape")  # checked per line
     except OSError as err:
         raise ConfigError(f"{path}: cannot read the config ({err.strerror})") from None
     with fh:
@@ -490,18 +490,17 @@ def cmd_probe_contraction(job) -> int:
     inner_tol = 1e-13 * np.sqrt(job.grid.volume)
     rows = []
 
-    def probe(vparams, first_seed, count, guarantee, flagged):
+    def probe(h, first_seed, count, guarantee, flagged):
         for seed in range(first_seed, first_seed + count):
             st = make_initial("random", job.grid, model, seed=seed)
-            _, rep = v_step((st.w, st.eta), st.theta, model, job.params.nu, vparams)
-            rows.append((vparams.h, seed, rep.final_contraction_ratio, guarantee, flagged))
+            _, rep = v_step((st.w, st.eta), st.theta, model, job.params.nu, h,
+                            inner_tol=inner_tol)
+            rows.append((h, seed, rep.final_contraction_ratio, guarantee, flagged))
 
-    probe(VStepParams(h=h, inner_tol=inner_tol), job.seed, job.n_probes,
-          h * c2 * (1.0 + 1e-6), False)
+    probe(h, job.seed, job.n_probes, h * c2 * (1.0 + 1e-6), False)
     if job.probe_beyond_gate:
         h_big = 2.0 * h_star(model)
-        probe(VStepParams(h=h_big, inner_tol=inner_tol, max_outer=2000), job.seed + 1000,
-              max(3, job.n_probes // 4), h_big * c2, True)
+        probe(h_big, job.seed + 1000, max(3, job.n_probes // 4), h_big * c2, True)
     ok = all(ratio <= guard for _, _, ratio, guard, flagged in rows if not flagged)
     path = _write_table(job, "contraction.csv",
                         "h,seed,measured_ratio,guarantee_hL,outside_hypotheses",

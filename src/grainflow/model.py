@@ -80,11 +80,11 @@ class MobilityKind(Enum):
         return _member_from_token(cls, token, "mobility", "constant or kobayashi")
 
 
-def require_finite(spec, *names):
-    """ValueError naming the first of the fields ``names`` of spec that is not finite."""
-    for name in names:
-        if not math.isfinite(getattr(spec, name)):
-            raise ValueError(f"{name} must be finite, got {getattr(spec, name)}")
+def require_finite(spec=None, *names, **values):
+    """ValueError naming the first of spec's fields ``names``, then of ``values``, not finite."""
+    for name, value in [(n, getattr(spec, n)) for n in names] + list(values.items()):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -322,13 +322,13 @@ def hessian_g(spec: PotentialSpec, w, eta):
 # ---------------------------------------------------------------------------
 
 def mobility_eval(spec: MobilitySpec, w, eta):
-    """Returns (alpha0, alpha, beta) at (w, eta); the gradients of alpha and
-    beta enter only through :meth:`MobilitySpec.add_gradient_terms`."""
+    """Returns (alpha0, alpha, beta) at (w, eta), two arrays of one shape; the
+    gradients of alpha and beta enter only through :meth:`MobilitySpec.add_gradient_terms`."""
     w = np.asarray(w, dtype=float)
     eta = np.asarray(eta, dtype=float)
     if spec.kind is MobilityKind.KOBAYASHI:
-        a0 = 0.5 * (eta**2 + spec.kappa) * np.ones_like(w)
-        return a0, a0, 0.5 * (w**2 + spec.kappa) * np.ones_like(eta)
+        a0 = 0.5 * (eta**2 + spec.kappa)
+        return a0, a0, 0.5 * (w**2 + spec.kappa)
     shape = np.broadcast(w, eta).shape
     return np.full(shape, spec.a0), np.full(shape, spec.a), np.full(shape, spec.b)
 

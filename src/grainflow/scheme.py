@@ -10,10 +10,11 @@ The step size is gated by the admissible threshold h* = 0.9 / max(2, 4L)
 (L the C2 norm of g on the unit box); larger steps require an explicit
 override.  :func:`outside_hypotheses` makes that decision and marks a run
 outside the well-posedness hypotheses.
-The v-step is ``v_step(..., fused=True)``: one proximal-gradient loop that
+The v-step is ``v_step(..., h, fused=True)``: one proximal-gradient loop that
 refreshes the coupling at every iteration, with the fixed point of the
-paper's Banach map, which the verification path runs.
-Each theta-step hands the next its dual and the PDHG start ratio it learns.
+paper's Banach map, which the verification path runs.  Each theta-step stops
+at the gap the dissipation budget can absorb (``gap_abs``), and hands the
+next its dual and the PDHG start ratio it learns.
 A :class:`Trajectory` holds the per-step energies and reports, which the
 checks read; it keeps no states.  States reach a caller only through the
 sink passed to :func:`run`, at the record steps.
@@ -29,8 +30,8 @@ from .energy import free_energy
 from .grid import PhaseState
 from .model import (CheckCondition, ModelSpec, SolverError, ValidationReport, check_a4,
                     require_finite)
-from .thetastep import StartRatio, ThetaStepParams, theta_step
-from .vstep import VStepParams, v_step
+from .thetastep import StartRatio, theta_step
+from .vstep import v_step
 
 __all__ = [
     "HGateError",
@@ -157,7 +158,6 @@ def run(init: PhaseState, model: ModelSpec, params: SchemeParams, sink=None) -> 
     energies = [free_energy(state, model, nu)]
     reports = []
     t_grid = h * np.arange(params.n_steps + 1)
-    vparams, tparams = VStepParams(h=h), ThetaStepParams(h=h)
     warm_dual = None
     start = StartRatio(init.grid.dim)
 
@@ -167,9 +167,9 @@ def run(init: PhaseState, model: ModelSpec, params: SchemeParams, sink=None) -> 
         gap_budget = 1e-9 * (1.0 + abs(energies[-1].total))
         ratio = start.propose()
         try:
-            v_new, vrep = v_step((state.w, state.eta), state.theta, model, nu, vparams,
+            v_new, vrep = v_step((state.w, state.eta), state.theta, model, nu, h,
                                  fused=True)
-            theta_new, trep = theta_step(state.theta, v_new, model, nu, tparams,
+            theta_new, trep = theta_step(state.theta, v_new, model, nu, h,
                                          warm_dual=warm_dual, gap_abs=gap_budget,
                                          start_ratio=ratio)
         except SolverError as err:

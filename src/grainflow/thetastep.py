@@ -50,35 +50,11 @@ from .grid import ScalarField, grad_operator_norm_bound, stencil
 from .model import ModelSpec, SolverError, require_finite
 
 __all__ = [
-    "ThetaStepParams",
     "ThetaStepReport",
     "StartRatio",
     "theta_step",
     "oracle_theta_min",
 ]
-
-
-@dataclass
-class ThetaStepParams:
-    """gap_tol is relative: a solve stops once the gap at the iterate it
-    returns, checked every check_every sweeps, is <= max(gap_tol (1 + |J|),
-    gap_abs); in the time loop gap_abs, 1e-9 (1 + |F_prev|), decides (the
-    first term was at most 9% of it on the benchmark).  The step sizes keep
-    tau*sigma*||grad||^2 = 1 and adapt only through the stall rule in the
-    module docstring; the output is certificate-checked either way."""
-
-    h: float
-    gap_tol: float = 1e-10
-    check_every: int = 125
-
-    def __post_init__(self):
-        require_finite(self, "h", "gap_tol")
-        if not self.h > 0:
-            raise ValueError("time step h must be positive")
-        if not self.gap_tol > 0:
-            raise ValueError("gap_tol must be positive")
-        if not self.check_every >= 1:
-            raise ValueError("check_every must be at least 1")
 
 
 @dataclass
@@ -94,6 +70,7 @@ class ThetaStepReport:
 _R0 = {1: 0.125, 2: 0.0625}  # the default start ratio by grid dimension
 _RHO = 1.8  # over-relaxation of the PDHG sweep (_PdhgLoop), in (0, 2)
 _MAX_ITERS = 400_000  # Newton steps plus PDHG sweeps per solve
+_CHECK_EVERY = 125  # PDHG sweeps between two gap certificates
 
 
 class StartRatio:
@@ -130,28 +107,37 @@ class StartRatio:
             self.due[f] = self.wait[f]
 
 
-def theta_step(theta_prev: ScalarField, v_new, model: ModelSpec, nu: float,
-               params: ThetaStepParams, warm_dual=None, gap_abs: float = 0.0,
+def theta_step(theta_prev: ScalarField, v_new, model: ModelSpec, nu: float, h: float,
+               gap_tol: float = 1e-10, warm_dual=None, gap_abs: float = 0.0,
                start_ratio: float = None):
-    """Solve one theta-step; returns (theta_new, ThetaStepReport).
+    """Solve one theta-step of size h; returns (theta_new, ThetaStepReport).
 
+    ``gap_tol`` is relative: a solve stops once the gap at the iterate it
+    returns, checked every _CHECK_EVERY sweeps, is <= max(gap_tol (1 + |J|),
+    gap_abs).  The time loop sets ``gap_abs`` to 1e-9 (1 + |F_prev|), exactly
+    the gap its dissipation budget can absorb, and there gap_abs decides (the
+    first term was at most 9% of it on the benchmark).  The step sizes keep
+    tau*sigma*||grad||^2 = 1 and adapt only through the stall rule in the
+    module docstring; the output is certificate-checked either way.
     ``warm_dual`` may carry the dual state of a previous related solve, and
     ``start_ratio`` the PDHG step ratio to start from (default r0).
     ``iters`` in the report counts Newton steps plus PDHG sweeps, and
     ``_MAX_ITERS`` caps their sum.
-    ``gap_abs`` optionally widens the stopping rule to
-    max(gap_tol*(1+|J|), gap_abs); the time loop uses it to request exactly
-    the gap its dissipation budget can absorb, and there gap_abs decides.
     """
+    require_finite(h=h, gap_tol=gap_tol)
+    if not h > 0:
+        raise ValueError("time step h must be positive")
+    if not gap_tol > 0:
+        raise ValueError("gap_tol must be positive")
     grid = theta_prev.grid
     a0, aw, bw = model.mobilities(v_new[0].values, v_new[1].values)
     nb = 2.0 * nu * bw if nu != 0.0 else None  # curvature weights of the dual prox
-    loop = _PdhgLoop(theta_prev.values, a0, aw, nb, params.h, grid.dx, warm_dual)
+    loop = _PdhgLoop(theta_prev.values, a0, aw, nb, h, grid.dx, warm_dual)
     chosen = last = prev_hat = None
     iters = newton = 0
 
     def stop_gap(j):  # the gap a solve stops at, J = j at its iterate
-        return max(params.gap_tol * (1.0 + abs(j)), gap_abs)
+        return max(gap_tol * (1.0 + abs(j)), gap_abs)
 
     if grid.dim == 1 and loop.reconstructable and (nb is None or float(nb.min()) > 0.0):
         iters = newton = _dual_newton(loop)
@@ -167,7 +153,7 @@ def theta_step(theta_prev: ScalarField, v_new, model: ModelSpec, nu: float,
     gap_history = []
     window = 5
     while chosen is None and iters < _MAX_ITERS:
-        burst = min(params.check_every, _MAX_ITERS - iters)
+        burst = min(_CHECK_EVERY, _MAX_ITERS - iters)
         loop.advance(burst)
         iters += burst
         last = loop.certify()
@@ -182,7 +168,7 @@ def theta_step(theta_prev: ScalarField, v_new, model: ModelSpec, nu: float,
             # maximum principle exactly
             if prev_hat is not None and float(
                 np.abs(t_hat - prev_hat).max()
-            ) <= params.gap_tol * (1.0 + loop.linf):
+            ) <= gap_tol * (1.0 + loop.linf):
                 chosen = last
                 break
             prev_hat = t_hat

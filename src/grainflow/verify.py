@@ -19,7 +19,7 @@ from .energy import phi_nu
 from .grid import GridSpec, PhaseState, ScalarField, stencil
 from .model import ModelSpec, MobilityKind, MobilitySpec, Potential, PotentialSpec
 from .scheme import SchemeParams, Trajectory, h_star, run
-from .thetastep import ThetaStepParams, _theta_objective, oracle_theta_min, theta_step
+from .thetastep import _theta_objective, oracle_theta_min, theta_step
 
 __all__ = [
     "CheckResult",
@@ -184,8 +184,7 @@ def check_theta_oracle(n_instances: int = 20, seed: int = 0) -> CheckResult:
         v = random_admissible_v(grid, model, rng)
         theta0 = random_smooth_field(grid, rng, amplitude=0.8)
         for nu in _ORACLE_NUS:
-            params = ThetaStepParams(h=h, gap_tol=1e-11, check_every=16)
-            theta_hat, rep = theta_step(theta0, v, model, nu, params)
+            theta_hat, rep = theta_step(theta0, v, model, nu, h, gap_tol=1e-11)
             j_hat = _theta_objective(theta_hat, theta0, v, model, nu, h)
             _, j_oracle = oracle_theta_min(theta0, v, model, nu, h)
             mismatch = abs(j_hat - j_oracle) / (1.0 + abs(j_oracle))

@@ -35,7 +35,6 @@ from .grid import ScalarField, grad_operator_norm_bound, stencil
 from .model import ModelSpec, SolverError, require_finite
 
 __all__ = [
-    "VStepParams",
     "VStepReport",
     "v_step",
     "v_step_perturbation_bound",
@@ -43,27 +42,7 @@ __all__ = [
 
 
 _MAX_INNER = 100_000  # proximal-gradient iterations per inner solve
-
-
-@dataclass
-class VStepParams:
-    """inner_tol is a finite, positive, absolute discrete-L2 value; when left
-    None it is scaled at call time to 1e-12*sqrt(|Omega|).  The Picard outer
-    loop stops at a difference of 1e-10*sqrt(|Omega|); the fused policy stops
-    on inner_tol and the _MAX_INNER cap alone."""
-
-    h: float
-    inner_tol: float = None
-    max_outer: int = 200
-
-    def __post_init__(self):
-        require_finite(self, "h", *(("inner_tol",) if self.inner_tol is not None else ()))
-        if not self.h > 0:
-            raise ValueError("time step h must be positive")
-        if self.inner_tol is not None and not self.inner_tol > 0:
-            raise ValueError("inner_tol must be positive")
-        if not self.max_outer >= 1:
-            raise ValueError("max_outer must be at least 1")
+_MAX_OUTER = 200  # Picard outer iterations per step
 
 
 @dataclass
@@ -89,16 +68,25 @@ def _ratio_floor(inner_tol: float) -> float:
     return max(1e5 * inner_tol, 1e-14)
 
 
-def v_step(v_prev, theta_prev: ScalarField, model: ModelSpec, nu: float,
-           params: VStepParams, fused: bool = False):
-    """Solve one v-step; returns ((w, eta) fields, VStepReport).  With
-    ``fused`` the report's ``outer_iters`` counts coupling evaluations (equal
-    to ``inner_iters_total``) and its ratio is the single loop's."""
+def v_step(v_prev, theta_prev: ScalarField, model: ModelSpec, nu: float, h: float,
+           fused: bool = False, inner_tol: float = None):
+    """Solve one v-step of size h; returns ((w, eta) fields, VStepReport).
+
+    ``inner_tol`` is a finite, positive, absolute discrete-L2 value; when left
+    None it is 1e-12*sqrt(|Omega|).  The Picard outer loop stops at a
+    difference of 1e-10*sqrt(|Omega|), within _MAX_OUTER iterations; the fused
+    policy stops on inner_tol and the _MAX_INNER cap alone.  With ``fused``
+    the report's ``outer_iters`` counts coupling evaluations (equal to
+    ``inner_iters_total``) and its ratio is the single loop's."""
     grid = theta_prev.grid
     dx, vol = grid.dx, grid.cell_volume
-    h = params.h
     scale = np.sqrt(grid.volume)
-    inner_tol = params.inner_tol if params.inner_tol is not None else 1e-12 * scale
+    inner_tol = 1e-12 * scale if inner_tol is None else inner_tol
+    require_finite(h=h, inner_tol=inner_tol)
+    if not h > 0:
+        raise ValueError("time step h must be positive")
+    if not inner_tol > 0:
+        raise ValueError("inner_tol must be positive")
 
     v = v_prev = _stack(v_prev)
 
@@ -126,7 +114,7 @@ def v_step(v_prev, theta_prev: ScalarField, model: ModelSpec, nu: float,
         ratio_floor = _ratio_floor(inner_tol)
         ratio = prev_diff = 0.0
         inner_total = 0
-        for k in range(params.max_outer):
+        for k in range(_MAX_OUTER):
             # coupling frozen at the truncated current iterate
             vc = np.clip(v, 0.0, 1.0)
             g_frozen = np.stack(model.grad_g(vc[0], vc[1]))
@@ -145,7 +133,7 @@ def v_step(v_prev, theta_prev: ScalarField, model: ModelSpec, nu: float,
         else:
             raise SolverError(
                 f"fixed-point loop did not reach {outer_tol:.2e} in "
-                f"{params.max_outer} iterations (last diff {diff:.2e}); "
+                f"{_MAX_OUTER} iterations (last diff {diff:.2e}); "
                 f"h={h} may be too large for L={model.c2_norm}"
             )
         outer_iters = k + 1
@@ -213,14 +201,14 @@ def _inner_prox_gradient(v, v_prev, g_frozen, q1, q2, model: ModelSpec, h, tau,
 
 
 def v_step_perturbation_bound(v_prev_a, v_prev_b, theta_prev: ScalarField,
-                              model: ModelSpec, nu: float, params: VStepParams) -> float:
+                              model: ModelSpec, nu: float, h: float) -> float:
     """Runs the step from two nearby previous states (same theta) and returns
     |v_a - v_b|^2 / |v_prev_a - v_prev_b|^2 (0 when the inputs coincide).
     For h below the admissible step the ratio is at most 2."""
     vol = theta_prev.grid.cell_volume
     den = _pair_norm(_stack(v_prev_a) - _stack(v_prev_b), vol)
-    va, _ = v_step(v_prev_a, theta_prev, model, nu, params)
-    vb, _ = v_step(v_prev_b, theta_prev, model, nu, params)
+    va, _ = v_step(v_prev_a, theta_prev, model, nu, h)
+    vb, _ = v_step(v_prev_b, theta_prev, model, nu, h)
     if den == 0.0:
         return 0.0
     num = _pair_norm(_stack(va) - _stack(vb), vol)

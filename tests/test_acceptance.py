@@ -17,8 +17,6 @@ from grainflow import (
     GridSpec,
     ScalarField,
     SchemeParams,
-    ThetaStepParams,
-    VStepParams,
     check_box,
     check_dissipation,
     check_gamma_sandwich,
@@ -31,6 +29,7 @@ from grainflow import (
     v_step,
     v_step_perturbation_bound,
 )
+from grainflow import vstep
 from grainflow.cli import main as cli_main, make_initial
 from grainflow.grid import Stencil
 from grainflow.model import grad_g, g_eval, mobility_eval
@@ -106,33 +105,34 @@ def test_criterion_3_contraction():
     grid = GridSpec(1, (64,), 1.0)
     ok = True
     details = []
+    inner_tol = 1e-13 * np.sqrt(grid.volume)
+    probe_outer = 0
     for setting in SETTINGS:
         model = model_for(setting)
         h = 0.5 * h_star(model)
         bound = h * model.c2_norm * (1.0 + 1e-6)
-        params = VStepParams(h=h, inner_tol=1e-13 * np.sqrt(grid.volume))
         worst = 0.0
         rng = np.random.default_rng(SEED)
         for _ in range(20):
             v0 = random_admissible_v(grid, model, rng)
             theta = random_smooth_field(grid, rng, 0.8)
-            _, rep = v_step(v0, theta, model, 0.1, params)
+            _, rep = v_step(v0, theta, model, 0.1, h, inner_tol=inner_tol)
             worst = max(worst, rep.final_contraction_ratio)
         ok = ok and worst <= bound
         details.append(f"{setting}: max ratio {worst:.4f} <= {bound:.4f}")
         # negative control: h = 2 h* is outside the gate; its ratio is
         # permitted to exceed the benchmark guarantee and is recorded here
         h2 = 2.0 * h_star(model)
-        big = VStepParams(h=h2, inner_tol=1e-13 * np.sqrt(grid.volume),
-                          max_outer=2000)
         v0 = random_admissible_v(grid, model, np.random.default_rng(SEED + 1))
         theta = random_smooth_field(grid, rng, 0.8)
-        _, rep2 = v_step(v0, theta, model, 0.1, big)
+        _, rep2 = v_step(v0, theta, model, 0.1, h2, inner_tol=inner_tol)
+        probe_outer = max(probe_outer, rep2.outer_iters)
         details.append(f"{setting} probe@2h*: ratio {rep2.final_contraction_ratio:.4f} "
                        f"(benchmark guarantee {bound:.4f})")
     report(3, ok, "outer-loop contraction, 20 random steps per setting; " +
            "; ".join(details))
     assert ok
+    assert probe_outer <= vstep._MAX_OUTER // 4  # the outer-loop cap has headroom at 2h*
 
 
 def test_criterion_4_theta_oracle_equivalence():
@@ -151,14 +151,14 @@ def test_criterion_5_comparison_and_nonexpansiveness():
         v = random_admissible_v(grid, model, rng)
         a0, _, _ = model.mobilities(v[0].values, v[1].values)
         vol = grid.cell_volume
-        params = ThetaStepParams(h=0.5 * h_star(model), gap_tol=1e-10)
+        h = 0.5 * h_star(model)
         dual = None
         for _ in range(50):
             lo = random_smooth_field(grid, rng, 0.6)
             bump = np.abs(random_smooth_field(grid, rng, 0.3).values)
             hi = ScalarField(grid, lo.values + 0.08 + bump)
-            lo_t, lo_r = theta_step(lo, v, model, nu, params, warm_dual=dual)
-            hi_t, hi_r = theta_step(hi, v, model, nu, params, warm_dual=lo_r.dual)
+            lo_t, lo_r = theta_step(lo, v, model, nu, h, warm_dual=dual)
+            hi_t, hi_r = theta_step(hi, v, model, nu, h, warm_dual=lo_r.dual)
             dual = hi_r.dual
             worst_excess = max(
                 worst_excess, float(np.maximum(lo_t.values - hi_t.values, 0.0).max())
@@ -177,7 +177,7 @@ def test_criterion_5_comparison_and_nonexpansiveness():
 def test_criterion_6_perturbation_stability():
     model = model_for("g1")
     grid = GridSpec(2, (16, 16), 1.0)
-    params = VStepParams(h=0.5 * h_star(model))
+    h = 0.5 * h_star(model)
     rng = np.random.default_rng(SEED)
     worst = 0.0
     for _ in range(20):
@@ -187,7 +187,7 @@ def test_criterion_6_perturbation_stability():
         e2 = ScalarField(grid, np.clip(e1.values - d, 0.0, 1.0))
         theta = random_smooth_field(grid, rng, 0.8)
         worst = max(worst, v_step_perturbation_bound((w1, e1), (w2, e2), theta,
-                                                     model, 0.1, params))
+                                                     model, 0.1, h))
     ok = worst <= 2.0 + 1e-6
     report(6, ok, f"perturbation ratio over 20 pairs: worst {worst:.6f} "
                   f"(bound 2 + 1e-06)")

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import importlib
+import inspect
 import pkgutil
 import re
 from pathlib import Path
@@ -118,43 +119,43 @@ def test_definitions_have_program_callers():
 
 
 def test_params_fields_are_set_by_the_program():
-    # every init field of the three params dataclasses is set by keyword in
-    # some call of the program, in the package or the benchmark, so none is a
-    # setting only tests reach; and SchemeParams is the config's [scheme]
-    # section, whose h_frac is h as a fraction of h*
+    # every init field of SchemeParams is set by keyword in some call of the
+    # program, in the package or the benchmark, so none is a setting only
+    # tests reach; and SchemeParams is the config's [scheme] section, whose
+    # h_frac is h as a fraction of h*
     from grainflow.cli import CONFIG_KEYS
     from grainflow.scheme import SchemeParams
-    from grainflow.thetastep import ThetaStepParams
-    from grainflow.vstep import VStepParams
 
-    package = Path(grainflow.__file__).parent
-    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
-    classes = (SchemeParams, VStepParams, ThetaStepParams)
-    init = {c.__name__: {f.name for f in dataclasses.fields(c) if f.init} for c in classes}
-    set_by = {name: set() for name in init}
-    for path in sorted(package.glob("*.py")) + sorted(perfbench.rglob("*.py")):
+    init = {f.name for f in dataclasses.fields(SchemeParams) if f.init}
+    set_by = set()
+    for path in _program_sources()[1]:
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Call):
-                name = getattr(node.func, "id", getattr(node.func, "attr", None))
-                if name in set_by:
-                    set_by[name] |= {k.arg for k in node.keywords}
-    assert {name: sorted(init[name] - set_by[name]) for name in init} == {
-        name: [] for name in init}
-    assert init["SchemeParams"] == CONFIG_KEYS["scheme"] - {"h_frac"}
+            if (isinstance(node, ast.Call) and "SchemeParams" in
+                    (getattr(node.func, "id", None), getattr(node.func, "attr", None))):
+                set_by |= {k.arg for k in node.keywords}
+    assert sorted(init - set_by) == []
+    assert init == CONFIG_KEYS["scheme"] - {"h_frac"}
 
 
-def test_readme_states_the_scheme_params_signature():
-    # the README's SchemeParams(...) block names the init fields of the
-    # dataclass, in order, with their literal defaults
-    from grainflow.scheme import SchemeParams
-
+def test_readme_states_the_entry_point_signatures():
+    # every README python block that is a single call NAME(...) names the
+    # parameters of grainflow.NAME, in order, with their literal defaults
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    blocks = re.findall(r"```python\n(SchemeParams\(.*?\))\n```", readme, re.S)
-    assert len(blocks) == 1
-    call = ast.parse(blocks[0], mode="eval").body
-    stated = [(a.id, dataclasses.MISSING) for a in call.args] + [
-        (k.arg, ast.literal_eval(k.value)) for k in call.keywords]
-    assert stated == [(f.name, f.default) for f in dataclasses.fields(SchemeParams) if f.init]
+    stated, actual = {}, {}
+    for block in re.findall(r"```python\n(.*?)```", readme, re.S):
+        tree = ast.parse(block)
+        if not (len(tree.body) == 1 and isinstance(tree.body[0], ast.Expr)
+                and isinstance(tree.body[0].value, ast.Call)):
+            continue
+        call = tree.body[0].value
+        name = call.func.id
+        assert name not in stated, f"{name}(...) stated twice"
+        stated[name] = [(a.id, inspect.Parameter.empty) for a in call.args] + [
+            (k.arg, ast.literal_eval(k.value)) for k in call.keywords]
+        actual[name] = [(p.name, p.default)
+                        for p in inspect.signature(getattr(grainflow, name)).parameters.values()]
+    assert {"SchemeParams", "v_step", "theta_step"} <= set(stated)
+    assert stated == actual
 
 
 def _program_sources():

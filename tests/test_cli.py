@@ -391,6 +391,23 @@ def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_config_with_a_byte_order_mark_runs_the_same(tmp_path):
+    # a UTF-8 byte-order mark before the first line is not part of the config
+    shipped = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "benchmark-1d.cfg")
+    with open(shipped, "rb") as fh:
+        text = fh.read()
+    (tmp_path / "plain.cfg").write_bytes(text)
+    (tmp_path / "bom.cfg").write_bytes(b"\xef\xbb\xbf" + text)
+    for name in ("plain", "bom"):
+        assert main(["run", "--config", str(tmp_path / f"{name}.cfg"),
+                     "--out", str(tmp_path / name)]) == 0
+    names = sorted(os.listdir(tmp_path / "plain"))
+    assert names == sorted(os.listdir(tmp_path / "bom")) and "energy.csv" in names
+    for name in names:
+        assert filecmp.cmp(tmp_path / "plain" / name, tmp_path / "bom" / name,
+                           shallow=False), name
+
+
 def test_empty_output_directory_is_a_config_error(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     path = write_cfg(tmp_path, BASE.format(out=""))

@@ -9,7 +9,6 @@ from grainflow import (
     Potential,
     PotentialSpec,
     ScalarField,
-    ThetaStepParams,
     h_star,
     oracle_theta_min,
     theta_step,
@@ -37,8 +36,7 @@ def test_constant_theta_is_stationary(g1_model, rng):
     grid = GridSpec(1, (24,), 1.0)
     v = random_admissible_v(grid, g1_model, rng)
     theta0 = ScalarField(grid, np.full(24, 0.37))
-    params = ThetaStepParams(h=bench_h(g1_model))
-    out, rep = theta_step(theta0, v, g1_model, 0.1, params)
+    out, rep = theta_step(theta0, v, g1_model, 0.1, bench_h(g1_model))
     assert np.allclose(out.values, 0.37, atol=1e-13)
     assert rep.linf_out <= rep.linf_in
     assert rep.duality_gap >= -1e-12
@@ -55,7 +53,7 @@ def test_linear_system_oracle_with_zero_tv_weight(rng):
     h, nu = 0.1, 0.2
     theta0 = random_smooth_field(grid, rng, 1.0)
     v = (ScalarField(grid, np.full(64, 0.5)), ScalarField(grid, np.full(64, 0.5)))
-    out, rep = theta_step(theta0, v, model, nu, ThetaStepParams(h=h, gap_tol=1e-12))
+    out, rep = theta_step(theta0, v, model, nu, h, gap_tol=1e-12)
     n = 64
     A = np.eye(n) / h
     for j in range(n):
@@ -71,7 +69,7 @@ def test_maximum_principle_exact(g1_model, rng, nu):
     grid = GridSpec(2, (16, 16), 1.0)
     v = random_admissible_v(grid, g1_model, rng)
     theta0 = random_smooth_field(grid, rng, 0.8)
-    out, rep = theta_step(theta0, v, g1_model, nu, ThetaStepParams(h=bench_h(g1_model)))
+    out, rep = theta_step(theta0, v, g1_model, nu, bench_h(g1_model))
     assert rep.linf_in == pytest.approx(0.8, abs=1e-12)
     assert float(np.abs(out.values).max()) <= rep.linf_in  # zero slack
     assert rep.linf_out <= rep.linf_in + 1e-8
@@ -84,7 +82,7 @@ def test_energy_decrease_reported_nonnegative_up_to_gap(g1_model, rng):
     v = random_admissible_v(grid, g1_model, rng)
     theta0 = random_smooth_field(grid, rng, 0.8)
     h = bench_h(g1_model)
-    out, rep = theta_step(theta0, v, g1_model, 0.1, ThetaStepParams(h=h, gap_tol=1e-11))
+    out, rep = theta_step(theta0, v, g1_model, 0.1, h, gap_tol=1e-11)
     a0, _, _ = g1_model.mobilities(v[0].values, v[1].values)
     d = out.values - theta0.values
     margin = (phi_nu(v, theta0, g1_model, 0.1) - phi_nu(v, out, g1_model, 0.1)
@@ -209,7 +207,7 @@ def test_dual_is_projected_onto_the_ball(g1_model, rng, nu):
     assert np.isfinite(loop.certify()[1])
     assert np.all((magnitude(loop.iterate()[1]) <= aw * (1.0 + 1e-14))[ball])
     if nb is None:
-        _, rep = theta_step(theta0, v, g1_model, 0.0, ThetaStepParams(h=h))
+        _, rep = theta_step(theta0, v, g1_model, 0.0, h)
         assert np.all(magnitude(rep.dual) <= aw * (1.0 + 1e-14))
 
 
@@ -219,7 +217,7 @@ def test_dual_is_projected_onto_the_ball(g1_model, rng, nu):
 
 def test_weighted_l2_nonexpansive(g1_model, rng):
     grid = GridSpec(2, (16, 16), 1.0)
-    params = ThetaStepParams(h=bench_h(g1_model), gap_tol=1e-11)
+    h = bench_h(g1_model)
     vol = grid.cell_volume
     for nu in (0.0, 0.1):
         v = random_admissible_v(grid, g1_model, rng)
@@ -227,8 +225,8 @@ def test_weighted_l2_nonexpansive(g1_model, rng):
         t01 = random_smooth_field(grid, rng, 0.6)
         t02 = ScalarField(grid, t01.values + 0.1
                           + np.abs(random_smooth_field(grid, rng, 0.3).values))
-        o1, r1 = theta_step(t01, v, g1_model, nu, params)
-        o2, r2 = theta_step(t02, v, g1_model, nu, params, warm_dual=r1.dual)
+        o1, r1 = theta_step(t01, v, g1_model, nu, h, gap_tol=1e-11)
+        o2, r2 = theta_step(t02, v, g1_model, nu, h, gap_tol=1e-11, warm_dual=r1.dual)
         lhs = weighted_norm(a0, o1.values - o2.values, vol)
         rhs = weighted_norm(a0, t01.values - t02.values, vol)
         assert lhs <= rhs + 1e-8
@@ -238,10 +236,10 @@ def test_unique_minimizer_from_two_initializations(g1_model, rng):
     grid = GridSpec(1, (16,), 1.0)
     v = random_admissible_v(grid, g1_model, rng)
     theta0 = random_smooth_field(grid, rng, 0.8)
-    params = ThetaStepParams(h=bench_h(g1_model), gap_tol=1e-13, check_every=16)
-    out1, rep1 = theta_step(theta0, v, g1_model, 0.1, params)
+    h = bench_h(g1_model)
+    out1, rep1 = theta_step(theta0, v, g1_model, 0.1, h, gap_tol=1e-13)
     other = tuple(np.full(grid.shape, 0.3) for _ in range(grid.dim))
-    out2, _ = theta_step(theta0, v, g1_model, 0.1, params, warm_dual=other)
+    out2, _ = theta_step(theta0, v, g1_model, 0.1, h, gap_tol=1e-13, warm_dual=other)
     assert float(np.abs(out1.values - out2.values).max()) <= 1e-8
 
 
@@ -269,12 +267,12 @@ def test_newton_solves_1d_steps_without_pdhg(g1_model, rng, monkeypatch, nu, dx)
     sweeps = []
     monkeypatch.setattr(_PdhgLoop, "advance", lambda self, n: sweeps.append(n))
     grid = GridSpec(1, (64,), dx)
-    params = ThetaStepParams(h=bench_h(g1_model))
+    h = bench_h(g1_model)
     theta, dual = random_smooth_field(grid, rng, 0.8), None
     for _ in range(4):
         v = random_admissible_v(grid, g1_model, rng)
-        out, rep = theta_step(theta, v, g1_model, nu, params, warm_dual=dual)
-        assert rep.duality_gap <= params.gap_tol
+        out, rep = theta_step(theta, v, g1_model, nu, h, warm_dual=dual)
+        assert rep.duality_gap <= 1e-10  # the default gap_tol
         assert rep.linf_out <= rep.linf_in
         theta, dual = out, rep.dual
     assert sweeps == []
@@ -344,8 +342,7 @@ def test_oracle_agrees_with_primal_dual(nu, rng):
         h = bench_h(model)
         v = random_admissible_v(grid, model, rng)
         theta0 = random_smooth_field(grid, rng, 0.8)
-        out, rep = theta_step(theta0, v, model, nu,
-                              ThetaStepParams(h=h, gap_tol=1e-11, check_every=16))
+        out, rep = theta_step(theta0, v, model, nu, h, gap_tol=1e-11)
         j_pdhg = _theta_objective(out, theta0, v, model, nu, h)
         _, j_oracle = oracle_theta_min(theta0, v, model, nu, h)
         assert abs(j_pdhg - j_oracle) <= 1e-6 * (1.0 + abs(j_oracle))
@@ -370,13 +367,13 @@ def test_default_start_ratio_is_r0(g1_model, rng, shape, dim_ratio):
     grid = GridSpec(len(shape), shape, 1.0)
     v = random_admissible_v(grid, g1_model, rng)
     theta0 = ScalarField(grid, 0.8 * np.tanh(rng.normal(size=shape)))
-    params = ThetaStepParams(h=bench_h(g1_model))
-    got, rep = theta_step(theta0, v, g1_model, 0.0, params)
-    want, rep_r0 = theta_step(theta0, v, g1_model, 0.0, params, start_ratio=dim_ratio)
+    h = bench_h(g1_model)
+    got, rep = theta_step(theta0, v, g1_model, 0.0, h)
+    want, rep_r0 = theta_step(theta0, v, g1_model, 0.0, h, start_ratio=dim_ratio)
     assert np.array_equal(got.values, want.values)
     assert (rep.iters, rep.sweeps) == (rep_r0.iters, rep_r0.sweeps)
     if len(shape) == 2:  # in 1D Newton certifies the step, and no ratio is used
-        _, other = theta_step(theta0, v, g1_model, 0.0, params, start_ratio=4.0 * dim_ratio)
+        _, other = theta_step(theta0, v, g1_model, 0.0, h, start_ratio=4.0 * dim_ratio)
         assert rep.sweeps > 0 and other.iters != rep.iters
 
 
@@ -425,7 +422,7 @@ def test_no_convergence_raised(g1_model, rng, monkeypatch):
     theta0 = random_smooth_field(grid, rng, 0.8)
     monkeypatch.setattr(thetastep, "_MAX_ITERS", 10)
     with pytest.raises(SolverError, match=r"^gap .* above tolerance after 10 iterations$"):
-        theta_step(theta0, v, g1_model, 0.1, ThetaStepParams(h=0.05, gap_tol=1e-300))
+        theta_step(theta0, v, g1_model, 0.1, 0.05, gap_tol=1e-300)
 
 
 def test_unsafeguarded_mobility_still_respects_maximum_principle(rng):
@@ -442,22 +439,21 @@ def test_unsafeguarded_mobility_still_respects_maximum_principle(rng):
                                    0.0, 1.0)),
          ScalarField(grid, np.clip(e, 0.0, 1.0)))
     theta0 = random_smooth_field(grid, rng, 0.8)
-    out, rep = theta_step(theta0, v, model, 0.1,
-                          ThetaStepParams(h=0.02, gap_tol=1e-8))
+    out, rep = theta_step(theta0, v, model, 0.1, 0.02, gap_tol=1e-8)
     assert rep.linf_out <= rep.linf_in
     assert rep.duality_gap >= -1e-12
 
 
-def test_params_validation():
+def test_params_validation(g1_model, rng):
+    grid = GridSpec(1, (16,), 1.0)
+    v = random_admissible_v(grid, g1_model, rng)
+    theta0 = random_smooth_field(grid, rng, 0.8)
     with pytest.raises(ValueError):
-        ThetaStepParams(h=-1.0)
+        theta_step(theta0, v, g1_model, 0.1, -1.0)
     with pytest.raises(ValueError):
-        ThetaStepParams(h=0.1, gap_tol=0.0)
+        theta_step(theta0, v, g1_model, 0.1, 0.1, gap_tol=0.0)
     # an infinite gap tolerance would accept the first certificate
     for bad in ({"h": np.inf}, {"gap_tol": np.inf}, {"gap_tol": np.nan}):
         name = next(iter(bad))
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
-            ThetaStepParams(**{"h": 0.1, **bad})
-    for check_every in (0, -1):
-        with pytest.raises(ValueError, match="^check_every must be at least 1"):
-            ThetaStepParams(h=0.1, check_every=check_every)
+            theta_step(theta0, v, g1_model, 0.1, **{"h": 0.1, **bad})

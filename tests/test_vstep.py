@@ -4,7 +4,6 @@ import pytest
 from grainflow import (
     GridSpec,
     ScalarField,
-    VStepParams,
     h_star,
     v_step,
     v_step_perturbation_bound,
@@ -29,8 +28,8 @@ def test_stationary_well_bottom(g1_model):
     grid = GridSpec(1, (16,), 1.0)
     one = ScalarField(grid, np.ones(16))
     zero = ScalarField(grid, np.zeros(16))
-    params = VStepParams(h=bench_h(g1_model))
-    v_new, rep = v_step((one, one), zero, g1_model, 0.1, params)
+    h = bench_h(g1_model)
+    v_new, rep = v_step((one, one), zero, g1_model, 0.1, h)
     assert np.array_equal(v_new[0].values, np.ones(16))
     assert np.array_equal(v_new[1].values, np.ones(16))
     assert rep.outer_iters == 1
@@ -56,7 +55,7 @@ def test_matches_unfrozen_allen_cahn_oracle(rng):
     h = bench_h(model)
     w0, e0 = random_admissible_v(grid, model, rng)
     theta = random_smooth_field(grid, rng, 0.5)
-    v_new, _ = v_step((w0, e0), theta, model, 0.1, VStepParams(h=h))
+    v_new, _ = v_step((w0, e0), theta, model, 0.1, h)
 
     w = w0.values.copy()
     e = e0.values.copy()
@@ -82,11 +81,11 @@ def test_contraction_ratio_bound(setting, rng):
     grid = GridSpec(1, (64,), 1.0)
     h = bench_h(model)
     bound = h * model.c2_norm * (1.0 + 1e-6)
-    params = VStepParams(h=h, inner_tol=1e-13 * np.sqrt(grid.volume))
+    inner_tol = 1e-13 * np.sqrt(grid.volume)
     for _ in range(5):
         v0 = random_admissible_v(grid, model, rng)
         theta = random_smooth_field(grid, rng, 0.8)
-        _, rep = v_step(v0, theta, model, 0.1, params)
+        _, rep = v_step(v0, theta, model, 0.1, h, inner_tol=inner_tol)
         assert rep.final_contraction_ratio <= bound
 
 
@@ -97,41 +96,41 @@ def test_probe_beyond_gate_still_contracts_at_its_own_rate(rng):
     h2 = 2.0 * h_star(model)
     v0 = random_admissible_v(grid, model, rng)
     theta = random_smooth_field(grid, rng, 0.8)
-    params = VStepParams(h=h2, inner_tol=1e-13 * np.sqrt(grid.volume), max_outer=2000)
-    _, rep = v_step(v0, theta, model, 0.1, params)
+    _, rep = v_step(v0, theta, model, 0.1, h2, inner_tol=1e-13 * np.sqrt(grid.volume))
     assert rep.final_contraction_ratio <= h2 * model.c2_norm * (1.0 + 1e-6)
+    assert rep.outer_iters <= vstep._MAX_OUTER // 4  # the cap has headroom
 
 
 def test_perturbation_identical_inputs_is_zero(g1_model, rng):
     grid = GridSpec(1, (16,), 1.0)
     v0 = random_admissible_v(grid, g1_model, rng)
     theta = random_smooth_field(grid, rng, 0.5)
-    params = VStepParams(h=bench_h(g1_model))
-    assert v_step_perturbation_bound(v0, v0, theta, g1_model, 0.1, params) == 0.0
+    h = bench_h(g1_model)
+    assert v_step_perturbation_bound(v0, v0, theta, g1_model, 0.1, h) == 0.0
 
 
 def test_perturbation_factor_two_bound(g1_model, rng):
     grid = GridSpec(2, (16, 16), 1.0)
-    params = VStepParams(h=bench_h(g1_model))
+    h = bench_h(g1_model)
     for _ in range(3):
         w1, e1 = random_admissible_v(grid, g1_model, rng)
         d = 1e-3 * random_smooth_field(grid, rng, 1.0).values
         w2 = ScalarField(grid, np.clip(w1.values + d, 0.0, 1.0))
         e2 = ScalarField(grid, np.clip(e1.values - d, 0.0, 1.0))
         theta = random_smooth_field(grid, rng, 0.8)
-        ratio = v_step_perturbation_bound((w1, e1), (w2, e2), theta, g1_model, 0.1, params)
+        ratio = v_step_perturbation_bound((w1, e1), (w2, e2), theta, g1_model, 0.1, h)
         assert ratio <= 2.0 + 1e-6
 
 
 def test_ordered_inputs_stay_ordered(g1_model, rng):
     grid = GridSpec(1, (32,), 1.0)
-    params = VStepParams(h=bench_h(g1_model))
+    h = bench_h(g1_model)
     theta = random_smooth_field(grid, rng, 0.8)
     w_hi, e_hi = random_admissible_v(grid, g1_model, rng)
     w_lo = ScalarField(grid, np.clip(w_hi.values - 0.05, 0.0, 1.0))
     e_lo = ScalarField(grid, np.clip(e_hi.values - 0.05, 0.0, 1.0))
-    va, _ = v_step((w_lo, e_lo), theta, g1_model, 0.1, params)
-    vb, _ = v_step((w_hi, e_hi), theta, g1_model, 0.1, params)
+    va, _ = v_step((w_lo, e_lo), theta, g1_model, 0.1, h)
+    vb, _ = v_step((w_hi, e_hi), theta, g1_model, 0.1, h)
     excess = max(
         float(np.maximum(va[0].values - vb[0].values, 0.0).max()),
         float(np.maximum(va[1].values - vb[1].values, 0.0).max()),
@@ -143,11 +142,11 @@ def test_ordered_inputs_stay_ordered(g1_model, rng):
 def test_box_invariance(setting, rng):
     model = model_for(setting)
     grid = GridSpec(2, (12, 12), 1.0)
-    params = VStepParams(h=bench_h(model))
+    h = bench_h(model)
     for nu in (0.0, 0.1):
         v0 = random_admissible_v(grid, model, rng)
         theta = random_smooth_field(grid, rng, 0.8)
-        _, rep = v_step(v0, theta, model, nu, params)
+        _, rep = v_step(v0, theta, model, nu, h)
         assert rep.box_violation <= 1e-9
 
 
@@ -168,7 +167,7 @@ def test_per_step_energy_inequality(setting, rng):
         dir_v = dirichlet_energy(w) + dirichlet_energy(e)
         return dir_v + gam + gt + phi_nu((w, e), theta, model, nu)
 
-    v_new, _ = v_step(v0, theta, model, nu, VStepParams(h=h))
+    v_new, _ = v_step(v0, theta, model, nu, h)
     dw = v_new[0].values - v0[0].values
     de = v_new[1].values - v0[1].values
     incr = 0.5 / h * float(np.sum(dw**2) + np.sum(de**2)) * grid.cell_volume
@@ -181,9 +180,9 @@ def test_deterministic_bitwise(g1_model, rng):
     grid = GridSpec(1, (32,), 1.0)
     v0 = random_admissible_v(grid, g1_model, rng)
     theta = random_smooth_field(grid, rng, 0.8)
-    params = VStepParams(h=bench_h(g1_model))
-    a, ra = v_step(v0, theta, g1_model, 0.1, params)
-    b, rb = v_step(v0, theta, g1_model, 0.1, params)
+    h = bench_h(g1_model)
+    a, ra = v_step(v0, theta, g1_model, 0.1, h)
+    b, rb = v_step(v0, theta, g1_model, 0.1, h)
     assert np.array_equal(a[0].values, b[0].values)
     assert np.array_equal(a[1].values, b[1].values)
     assert ra == rb
@@ -193,27 +192,29 @@ def test_solver_failure_modes(g1_model, rng, monkeypatch):
     grid = GridSpec(1, (16,), 1.0)
     v0 = random_admissible_v(grid, g1_model, rng)
     theta = random_smooth_field(grid, rng, 0.8)
+    h = bench_h(g1_model)
+    monkeypatch.setattr(vstep, "_MAX_OUTER", 1)
     with pytest.raises(SolverError, match="^fixed-point loop did not reach .* in 1 iterations"):
-        v_step(v0, theta, g1_model, 0.1, VStepParams(h=bench_h(g1_model), max_outer=1))
+        v_step(v0, theta, g1_model, 0.1, h)
     where = r"^outer iteration 1: .* in 3 iterations \(last diff \d\.\d\de[-+]\d+\)$"
     monkeypatch.setattr(vstep, "_MAX_INNER", 3)
     with pytest.raises(SolverError, match=where):
-        v_step(v0, theta, g1_model, 0.1, VStepParams(h=bench_h(g1_model), inner_tol=1e-300))
+        v_step(v0, theta, g1_model, 0.1, h, inner_tol=1e-300)
 
 
-def test_params_validation():
+def test_params_validation(g1_model, rng):
+    grid = GridSpec(1, (16,), 1.0)
+    v0 = random_admissible_v(grid, g1_model, rng)
+    theta = random_smooth_field(grid, rng, 0.8)
     with pytest.raises(ValueError):
-        VStepParams(h=0.0)
+        v_step(v0, theta, g1_model, 0.1, 0.0)
     with pytest.raises(ValueError, match="^inner_tol must be positive"):
-        VStepParams(h=0.1, inner_tol=-1.0)
+        v_step(v0, theta, g1_model, 0.1, 0.1, inner_tol=-1.0)
     # an infinite tolerance would stop every loop after one iteration
     for bad in ({"h": np.inf}, {"inner_tol": np.inf}, {"inner_tol": np.nan}):
         name = next(iter(bad))
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
-            VStepParams(**{"h": 0.1, **bad})
-    for max_outer in (0, -3):
-        with pytest.raises(ValueError, match="^max_outer must be at least 1"):
-            VStepParams(h=0.1, max_outer=max_outer)
+            v_step(v0, theta, g1_model, 0.1, **{"h": 0.1, **bad})
 
 
 def reference_inner_prox_gradient(w, e, w_prev, e_prev, gw_frozen, ge_frozen, q1, q2,
@@ -270,7 +271,7 @@ def test_inner_loop_matches_allocating_reference(setting, mobility, nu, shape, r
     monkeypatch.setattr(vstep, "_inner_prox_gradient", both)
     v0 = random_admissible_v(grid, model, rng)
     theta = random_smooth_field(grid, rng, 0.8)
-    v_step(v0, theta, model, nu, VStepParams(h=bench_h(model)))
+    v_step(v0, theta, model, nu, bench_h(model))
     assert len(compared) == 2 and min(compared) >= 2
 
 
@@ -298,11 +299,10 @@ def test_fused_loop_matches_picard(setting, nu, shape, rng):
     model = model_for(setting)
     grid = GridSpec(len(shape), shape, 1.0)
     h = bench_h(model)
-    params = VStepParams(h=h)
     v0 = random_admissible_v(grid, model, rng)
     theta = random_smooth_field(grid, rng, 0.8)
-    picard, rp = v_step(v0, theta, model, nu, params)
-    fused, rf = v_step(v0, theta, model, nu, params, fused=True)
+    picard, rp = v_step(v0, theta, model, nu, h)
+    fused, rf = v_step(v0, theta, model, nu, h, fused=True)
     assert pair_distance(picard, fused, grid) <= 1e-9 * np.sqrt(grid.volume)
     # one coupling evaluation per iteration, and far fewer iterations
     assert rf.outer_iters == rf.inner_iters_total < rp.inner_iters_total
@@ -314,13 +314,13 @@ def test_fused_loop_never_returns_unconverged(g2_model, rng, monkeypatch):
     grid = GridSpec(1, (64,), 1.0)
     v0 = random_admissible_v(grid, g2_model, rng)
     theta = random_smooth_field(grid, rng, 0.8)
-    params = VStepParams(h=bench_h(g2_model))
-    _, rep = v_step(v0, theta, g2_model, 0.1, params, fused=True)
+    h = bench_h(g2_model)
+    _, rep = v_step(v0, theta, g2_model, 0.1, h, fused=True)
     n = rep.inner_iters_total
     monkeypatch.setattr(vstep, "_MAX_INNER", n)
-    _, exact = v_step(v0, theta, g2_model, 0.1, params, fused=True)
+    _, exact = v_step(v0, theta, g2_model, 0.1, h, fused=True)
     assert exact == rep
     where = rf"^inner proximal gradient did not reach .* in {n - 1} iterations"
     monkeypatch.setattr(vstep, "_MAX_INNER", n - 1)
     with pytest.raises(SolverError, match=where):
-        v_step(v0, theta, g2_model, 0.1, params, fused=True)
+        v_step(v0, theta, g2_model, 0.1, h, fused=True)
