@@ -13,7 +13,7 @@ outside the well-posedness hypotheses.
 The v-step is ``v_step(..., h, fused=True)``: one proximal-gradient loop that
 refreshes the coupling at every iteration, with the fixed point of the
 paper's Banach map, which the verification path runs.  Each theta-step stops
-at the gap the dissipation budget can absorb (``gap_abs``), and hands the
+at the gap the dissipation budget can absorb (``gap_tol``), and hands the
 next its dual and the PDHG start ratio it learns.
 A :class:`Trajectory` holds the per-step energies and reports, which the
 checks read; it keeps no states.  States reach a caller only through the
@@ -170,7 +170,7 @@ def run(init: PhaseState, model: ModelSpec, params: SchemeParams, sink=None) -> 
             v_new, vrep = v_step((state.w, state.eta), state.theta, model, nu, h,
                                  fused=True)
             theta_new, trep = theta_step(state.theta, v_new, model, nu, h,
-                                         warm_dual=warm_dual, gap_abs=gap_budget,
+                                         gap_tol=gap_budget, warm_dual=warm_dual,
                                          start_ratio=ratio)
         except SolverError as err:
             raise SolverError(f"step {i}: {err}") from err

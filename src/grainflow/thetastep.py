@@ -71,6 +71,7 @@ _R0 = {1: 0.125, 2: 0.0625}  # the default start ratio by grid dimension
 _RHO = 1.8  # over-relaxation of the PDHG sweep (_PdhgLoop), in (0, 2)
 _MAX_ITERS = 400_000  # Newton steps plus PDHG sweeps per solve
 _CHECK_EVERY = 125  # PDHG sweeps between two gap certificates
+_CHANGE_TOL = 1e-10  # the iterate-change stop, relative to 1 + max|theta_prev|, when a0 has zeros
 
 
 class StartRatio:
@@ -108,15 +109,12 @@ class StartRatio:
 
 
 def theta_step(theta_prev: ScalarField, v_new, model: ModelSpec, nu: float, h: float,
-               gap_tol: float = 1e-10, warm_dual=None, gap_abs: float = 0.0,
-               start_ratio: float = None):
+               gap_tol: float = 1e-10, warm_dual=None, start_ratio: float = None):
     """Solve one theta-step of size h; returns (theta_new, ThetaStepReport).
 
-    ``gap_tol`` is relative: a solve stops once the gap at the iterate it
-    returns, checked every _CHECK_EVERY sweeps, is <= max(gap_tol (1 + |J|),
-    gap_abs).  The time loop sets ``gap_abs`` to 1e-9 (1 + |F_prev|), exactly
-    the gap its dissipation budget can absorb, and there gap_abs decides (the
-    first term was at most 9% of it on the benchmark).  The step sizes keep
+    A solve stops once the gap at the iterate it returns, checked every
+    _CHECK_EVERY sweeps, is <= ``gap_tol``, an absolute value; the time loop
+    passes the gap its dissipation budget can absorb.  The step sizes keep
     tau*sigma*||grad||^2 = 1 and adapt only through the stall rule in the
     module docstring; the output is certificate-checked either way.
     ``warm_dual`` may carry the dual state of a previous related solve, and
@@ -124,29 +122,29 @@ def theta_step(theta_prev: ScalarField, v_new, model: ModelSpec, nu: float, h: f
     ``iters`` in the report counts Newton steps plus PDHG sweeps, and
     ``_MAX_ITERS`` caps their sum.
     """
-    require_finite(h=h, gap_tol=gap_tol)
+    grid = theta_prev.grid
+    ratio0 = start_ratio if start_ratio is not None else _R0[grid.dim]
+    require_finite(nu=nu, h=h, gap_tol=gap_tol, start_ratio=ratio0)
+    if nu < 0:
+        raise ValueError("nu must be nonnegative")
     if not h > 0:
         raise ValueError("time step h must be positive")
     if not gap_tol > 0:
         raise ValueError("gap_tol must be positive")
-    grid = theta_prev.grid
+    if not ratio0 > 0:
+        raise ValueError("start_ratio must be positive")
     a0, aw, bw = model.mobilities(v_new[0].values, v_new[1].values)
     nb = 2.0 * nu * bw if nu != 0.0 else None  # curvature weights of the dual prox
     loop = _PdhgLoop(theta_prev.values, a0, aw, nb, h, grid.dx, warm_dual)
     chosen = last = prev_hat = None
     iters = newton = 0
-
-    def stop_gap(j):  # the gap a solve stops at, J = j at its iterate
-        return max(gap_tol * (1.0 + abs(j)), gap_abs)
-
     if grid.dim == 1 and loop.reconstructable and (nb is None or float(nb.min()) > 0.0):
         iters = newton = _dual_newton(loop)
         last = loop.certify()
-        if last[1] <= stop_gap(last[2]):
+        if last[1] <= gap_tol:
             chosen = last
 
     gn = np.sqrt(grad_operator_norm_bound(grid))
-    ratio0 = start_ratio if start_ratio is not None else _R0[grid.dim]
     ratio, min_ratio = ratio0, ratio0 / 4096.0
     if chosen is None:
         loop.set_steps(ratio / gn, 1.0 / (ratio * gn))
@@ -157,9 +155,8 @@ def theta_step(theta_prev: ScalarField, v_new, model: ModelSpec, nu: float, h: f
         loop.advance(burst)
         iters += burst
         last = loop.certify()
-        t_hat, gap, j_hat = last
-        tol_eff = stop_gap(j_hat)
-        if gap <= tol_eff:
+        t_hat, gap, _ = last
+        if gap <= gap_tol:
             chosen = last
             break
         if not loop.reconstructable and not np.isfinite(gap):
@@ -168,7 +165,7 @@ def theta_step(theta_prev: ScalarField, v_new, model: ModelSpec, nu: float, h: f
             # maximum principle exactly
             if prev_hat is not None and float(
                 np.abs(t_hat - prev_hat).max()
-            ) <= gap_tol * (1.0 + loop.linf):
+            ) <= _CHANGE_TOL * (1.0 + loop.linf):
                 chosen = last
                 break
             prev_hat = t_hat
@@ -187,7 +184,7 @@ def theta_step(theta_prev: ScalarField, v_new, model: ModelSpec, nu: float, h: f
                 ratio = ratio0
                 window *= 2
             else:
-                jump = min(0.25, 0.3 * tol_eff / gap)
+                jump = min(0.25, 0.3 * gap_tol / gap)
                 ratio = max(ratio * jump, min_ratio)
             loop.set_steps(ratio / gn, 1.0 / (ratio * gn))
             gap_history.clear()

@@ -82,7 +82,9 @@ def v_step(v_prev, theta_prev: ScalarField, model: ModelSpec, nu: float, h: floa
     dx, vol = grid.dx, grid.cell_volume
     scale = np.sqrt(grid.volume)
     inner_tol = 1e-12 * scale if inner_tol is None else inner_tol
-    require_finite(h=h, inner_tol=inner_tol)
+    require_finite(nu=nu, h=h, inner_tol=inner_tol)
+    if nu < 0:
+        raise ValueError("nu must be nonnegative")
     if not h > 0:
         raise ValueError("time step h must be positive")
     if not inner_tol > 0:

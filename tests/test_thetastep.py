@@ -232,6 +232,21 @@ def test_weighted_l2_nonexpansive(g1_model, rng):
         assert lhs <= rhs + 1e-8
 
 
+@pytest.mark.parametrize("nu", [0.0, 0.1])
+def test_stop_is_absolute(g1_model, nu):
+    # |J| is a few hundred here, so a gap within gap_tol (1 + |J|) can be
+    # far above gap_tol: the solve must hold out for gap_tol itself
+    rng = np.random.default_rng(0)
+    grid = GridSpec(2, (8, 8), 1.0)
+    h = bench_h(g1_model)
+    v = random_admissible_v(grid, g1_model, rng)
+    theta0 = random_smooth_field(grid, rng, 100.0)
+    out, rep = theta_step(theta0, v, g1_model, nu, h, gap_tol=1e-10)
+    assert _theta_objective(out, theta0, v, g1_model, nu, h) > 100.0
+    assert 0.0 <= rep.duality_gap <= 1e-10
+    assert rep.linf_out <= rep.linf_in
+
+
 def test_unique_minimizer_from_two_initializations(g1_model, rng):
     grid = GridSpec(1, (16,), 1.0)
     v = random_admissible_v(grid, g1_model, rng)
@@ -346,7 +361,7 @@ def test_oracle_agrees_with_primal_dual(nu, rng):
         j_pdhg = _theta_objective(out, theta0, v, model, nu, h)
         _, j_oracle = oracle_theta_min(theta0, v, model, nu, h)
         assert abs(j_pdhg - j_oracle) <= 1e-6 * (1.0 + abs(j_oracle))
-        assert rep.duality_gap <= 1e-8
+        assert rep.duality_gap <= 1e-11  # the gap_tol passed
 
 
 def test_oracle_rejects_large_instances(g1_model):
@@ -444,7 +459,9 @@ def test_unsafeguarded_mobility_still_respects_maximum_principle(rng):
     assert rep.duality_gap >= -1e-12
 
 
-def test_params_validation(g1_model, rng):
+def test_params_validation(g1_model, rng, monkeypatch):
+    # a cap that a bad value, were it let through, would end at quickly
+    monkeypatch.setattr(thetastep, "_MAX_ITERS", 2000)
     grid = GridSpec(1, (16,), 1.0)
     v = random_admissible_v(grid, g1_model, rng)
     theta0 = random_smooth_field(grid, rng, 0.8)
@@ -457,3 +474,29 @@ def test_params_validation(g1_model, rng):
         name = next(iter(bad))
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             theta_step(theta0, v, g1_model, 0.1, **{"h": 0.1, **bad})
+    for shape in ((16,), (8, 8)):
+        grid = GridSpec(len(shape), shape, 1.0)
+        v = random_admissible_v(grid, g1_model, rng)
+        theta0 = random_smooth_field(grid, rng, 0.8)
+        for nu, message in ((-0.5, "^nu must be nonnegative$"),
+                            (np.nan, "^nu must be finite, got nan$"),
+                            (np.inf, "^nu must be finite, got inf$")):
+            with pytest.raises(ValueError, match=message):
+                theta_step(theta0, v, g1_model, nu, 0.1)
+
+
+@pytest.mark.parametrize("ratio, message", [
+    (0.0, "^start_ratio must be positive$"),
+    (-1.0 / 16.0, "^start_ratio must be positive$"),
+    (np.nan, "^start_ratio must be finite, got nan$"),
+    (np.inf, "^start_ratio must be finite, got inf$"),
+])
+def test_start_ratio_validation(g1_model, rng, monkeypatch, ratio, message):
+    # each of these ratios would run PDHG to the cap without a usable step
+    monkeypatch.setattr(thetastep, "_MAX_ITERS", 2000)
+    grid = GridSpec(2, (8, 8), 1.0)
+    v = random_admissible_v(grid, g1_model, rng)
+    theta0 = ScalarField(grid, 0.8 * np.tanh(rng.normal(size=grid.shape)))
+    with pytest.raises(ValueError, match=message):
+        theta_step(theta0, v, g1_model, 0.0, bench_h(g1_model), start_ratio=ratio)
+

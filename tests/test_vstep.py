@@ -215,6 +215,16 @@ def test_params_validation(g1_model, rng):
         name = next(iter(bad))
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             v_step(v0, theta, g1_model, 0.1, **{"h": 0.1, **bad})
+    for shape in ((16,), (8, 8)):
+        grid = GridSpec(len(shape), shape, 1.0)
+        v0 = random_admissible_v(grid, g1_model, rng)
+        theta = random_smooth_field(grid, rng, 0.8)
+        for nu, message in ((-0.5, "^nu must be nonnegative$"),
+                            (np.nan, "^nu must be finite, got nan$"),
+                            (np.inf, "^nu must be finite, got inf$")):
+            for fused in (False, True):
+                with pytest.raises(ValueError, match=message):
+                    v_step(v0, theta, g1_model, nu, 0.1, fused=fused)
 
 
 def reference_inner_prox_gradient(w, e, w_prev, e_prev, gw_frozen, ge_frozen, q1, q2,
