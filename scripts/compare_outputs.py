@@ -43,7 +43,7 @@ def commands(root: str) -> dict:
     """Each command of a side by the name of its output directory; the
     output directory is the final argument."""
     out = {f"workload-{w}": [sys.executable, "perfbench/workloads.py", "--workload", w,
-                             "--seed", str(SEED), "--trace", "0", "--t0",
+                             "--seed", str(SEED), "--t0",
                              repr(time.clock_gettime(time.CLOCK_MONOTONIC)), "--dir"]
            for w in WORKLOADS}
     for cfg in sorted(glob.glob(os.path.join(root, "configs", "*.cfg"))):

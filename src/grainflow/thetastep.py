@@ -71,7 +71,7 @@ _R0 = {1: 0.125, 2: 0.0625}  # the default start ratio by grid dimension
 _RHO = 1.8  # over-relaxation of the PDHG sweep (_PdhgLoop), in (0, 2)
 _MAX_ITERS = 400_000  # Newton steps plus PDHG sweeps per solve
 _CHECK_EVERY = 125  # PDHG sweeps between two gap certificates
-_CHANGE_TOL = 1e-10  # the iterate-change stop, relative to 1 + max|theta_prev|, when a0 has zeros
+_CHANGE_TOL = 1e-10  # iterate-change stop when a0 has zeros, times 1 + max|theta_prev|
 
 
 class StartRatio:
