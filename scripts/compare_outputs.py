@@ -9,8 +9,9 @@ directory.  On each side the script runs, from the copy's root:
 
 - ``python3 perfbench/workloads.py --workload W --seed 1`` for every workload
   of perfbench/workloads.py;
-- ``grainflow run`` / ``verify`` / ``sweep-nu`` / ``probe-contraction`` with
-  ``--config`` each ``configs/*.cfg`` of the change.
+- ``grainflow run`` / ``verify`` / ``sweep-nu`` / ``probe-contraction``, and
+  ``probe-contraction --override-h-gate``, the one command that drives the
+  Picard v-step at 2h*, with ``--config`` each ``configs/*.cfg`` of the change.
 
 Every command writes into its own directory outside the copies.  The script
 then compares the two sides' directories file by file, and each command's
@@ -35,7 +36,9 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from bench_compare import WORKLOADS, export  # noqa: E402
 
 SEED = 1
-SUBCOMMANDS = ("run", "verify", "sweep-nu", "probe-contraction")
+SUBCOMMANDS = {"run": ["run"], "verify": ["verify"], "sweep-nu": ["sweep-nu"],
+               "probe-contraction": ["probe-contraction"],
+               "probe-contraction-2hstar": ["probe-contraction", "--override-h-gate"]}
 GRAINFLOW = "import sys; from grainflow.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
@@ -48,8 +51,8 @@ def commands(root: str) -> dict:
            for w in WORKLOADS}
     for cfg in sorted(glob.glob(os.path.join(root, "configs", "*.cfg"))):
         name = os.path.splitext(os.path.basename(cfg))[0]
-        for sub in SUBCOMMANDS:
-            out[f"{sub}-{name}"] = [sys.executable, "-c", GRAINFLOW, sub, "--config",
+        for sub, args in SUBCOMMANDS.items():
+            out[f"{sub}-{name}"] = [sys.executable, "-c", GRAINFLOW, *args, "--config",
                                     os.path.join("configs", os.path.basename(cfg)), "--out"]
     return out
 

@@ -486,15 +486,15 @@ def cmd_sweep_nu(job) -> int:
 
 
 def cmd_probe_contraction(job) -> int:
+    """Measures the Picard v-step's contraction ratio, ``v_step`` at its
+    defaults, from random states at h (and at 2h* with --override-h-gate)."""
     model, h, c2 = job.model, job.params.h, job.model.c2_norm
-    inner_tol = 1e-13 * np.sqrt(job.grid.volume)
     rows = []
 
     def probe(h, first_seed, count, guarantee, flagged):
         for seed in range(first_seed, first_seed + count):
             st = make_initial("random", job.grid, model, seed=seed)
-            _, rep = v_step((st.w, st.eta), st.theta, model, job.params.nu, h,
-                            inner_tol=inner_tol)
+            _, rep = v_step((st.w, st.eta), st.theta, model, job.params.nu, h)
             rows.append((h, seed, rep.final_contraction_ratio, guarantee, flagged))
 
     probe(h, job.seed, job.n_probes, h * c2 * (1.0 + 1e-6), False)

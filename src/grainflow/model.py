@@ -87,6 +87,16 @@ def require_finite(spec=None, *names, **values):
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def require_step(nu, **positive):
+    """ValueError unless nu is finite and >= 0 and each of ``positive`` is finite and > 0."""
+    require_finite(nu=nu, **positive)
+    if nu < 0:
+        raise ValueError("nu must be nonnegative")
+    for name, value in positive.items():
+        if not value > 0:
+            raise ValueError(f"{name} must be positive")
+
+
 @dataclass(frozen=True)
 class PotentialSpec:
     """Double-well setting: gamma family plus the constants c, u, o*, iota*."""

@@ -29,7 +29,7 @@ import numpy as np
 from .energy import free_energy
 from .grid import PhaseState
 from .model import (CheckCondition, ModelSpec, SolverError, ValidationReport, check_a4,
-                    require_finite)
+                    require_step)
 from .thetastep import StartRatio, theta_step
 from .vstep import v_step
 
@@ -68,11 +68,7 @@ class SchemeParams:
     override_h_gate: bool = False
 
     def __post_init__(self):
-        require_finite(self, "h", "nu")
-        if not self.h > 0:
-            raise ValueError("h must be positive")
-        if self.nu < 0:
-            raise ValueError("nu must be nonnegative")
+        require_step(self.nu, h=self.h)
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
         if self.record_every < 1:

@@ -47,7 +47,7 @@ import numpy as np
 
 from .energy import phi_nu
 from .grid import ScalarField, grad_operator_norm_bound, stencil
-from .model import ModelSpec, SolverError, require_finite
+from .model import ModelSpec, SolverError, require_step
 
 __all__ = [
     "ThetaStepReport",
@@ -124,15 +124,7 @@ def theta_step(theta_prev: ScalarField, v_new, model: ModelSpec, nu: float, h: f
     """
     grid = theta_prev.grid
     ratio0 = start_ratio if start_ratio is not None else _R0[grid.dim]
-    require_finite(nu=nu, h=h, gap_tol=gap_tol, start_ratio=ratio0)
-    if nu < 0:
-        raise ValueError("nu must be nonnegative")
-    if not h > 0:
-        raise ValueError("time step h must be positive")
-    if not gap_tol > 0:
-        raise ValueError("gap_tol must be positive")
-    if not ratio0 > 0:
-        raise ValueError("start_ratio must be positive")
+    require_step(nu, h=h, gap_tol=gap_tol, start_ratio=ratio0)
     a0, aw, bw = model.mobilities(v_new[0].values, v_new[1].values)
     nb = 2.0 * nu * bw if nu != 0.0 else None  # curvature weights of the dual prox
     loop = _PdhgLoop(theta_prev.values, a0, aw, nb, h, grid.dx, warm_dual)

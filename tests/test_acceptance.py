@@ -105,7 +105,6 @@ def test_criterion_3_contraction():
     grid = GridSpec(1, (64,), 1.0)
     ok = True
     details = []
-    inner_tol = 1e-13 * np.sqrt(grid.volume)
     probe_outer = 0
     for setting in SETTINGS:
         model = model_for(setting)
@@ -116,7 +115,7 @@ def test_criterion_3_contraction():
         for _ in range(20):
             v0 = random_admissible_v(grid, model, rng)
             theta = random_smooth_field(grid, rng, 0.8)
-            _, rep = v_step(v0, theta, model, 0.1, h, inner_tol=inner_tol)
+            _, rep = v_step(v0, theta, model, 0.1, h)
             worst = max(worst, rep.final_contraction_ratio)
         ok = ok and worst <= bound
         details.append(f"{setting}: max ratio {worst:.4f} <= {bound:.4f}")
@@ -125,7 +124,7 @@ def test_criterion_3_contraction():
         h2 = 2.0 * h_star(model)
         v0 = random_admissible_v(grid, model, np.random.default_rng(SEED + 1))
         theta = random_smooth_field(grid, rng, 0.8)
-        _, rep2 = v_step(v0, theta, model, 0.1, h2, inner_tol=inner_tol)
+        _, rep2 = v_step(v0, theta, model, 0.1, h2)
         probe_outer = max(probe_outer, rep2.outer_iters)
         details.append(f"{setting} probe@2h*: ratio {rep2.final_contraction_ratio:.4f} "
                        f"(benchmark guarantee {bound:.4f})")

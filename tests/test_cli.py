@@ -14,7 +14,7 @@ from grainflow.cli import (
     make_initial,
     parse_config,
 )
-from grainflow import h_star, thetastep
+from grainflow import h_star, thetastep, v_step
 from grainflow.grid import GridSpec
 from grainflow.scheme import validate_initial
 
@@ -343,6 +343,19 @@ def test_sweep_command(tmp_path):
     assert len(rows) == 4
 
 
+def assert_ratios_are_the_library_defaults(cfg_path, rows):
+    # every ratio the command writes is the one v_step reports at its defaults
+    # for the same seeded state, h and nu, bit for bit
+    cfg = parse_config(cfg_path)
+    grid, model = build_grid(cfg), build_model(cfg)
+    nu = build_scheme_params(cfg, model).nu
+    for row in rows:
+        h, seed, ratio = row.split(",")[:3]
+        st = make_initial("random", grid, model, seed=int(seed))
+        _, rep = v_step((st.w, st.eta), st.theta, model, nu, float(h))
+        assert repr(rep.final_contraction_ratio) == ratio
+
+
 def test_probe_contraction_command(tmp_path):
     text = BASE.format(out=tmp_path / "out") + "\n[probe]\nn_probes = 3\n"
     cfg_path = write_cfg(tmp_path, text)
@@ -352,6 +365,7 @@ def test_probe_contraction_command(tmp_path):
     for row in rows[2:]:
         h, seed, ratio, guard, flagged = row.split(",")
         assert float(ratio) <= float(guard)
+    assert_ratios_are_the_library_defaults(cfg_path, rows[2:])
 
 
 def test_probe_contraction_override_records_flagged(tmp_path):
@@ -362,6 +376,7 @@ def test_probe_contraction_override_records_flagged(tmp_path):
     rows = (tmp_path / "out" / "contraction.csv").read_text().splitlines()[2:]
     flagged = [r for r in rows if r.endswith(",1")]
     assert len(flagged) >= 1
+    assert_ratios_are_the_library_defaults(cfg_path, rows)
 
 
 def test_config_error_exit_code(tmp_path):
