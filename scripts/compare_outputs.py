@@ -11,11 +11,15 @@ directory.  On each side the script runs, from the copy's root:
   of perfbench/workloads.py;
 - ``grainflow run`` / ``verify`` / ``sweep-nu`` / ``probe-contraction``, and
   ``probe-contraction --override-h-gate``, the one command that drives the
-  Picard v-step at 2h*, with ``--config`` each ``configs/*.cfg`` of the change.
+  Picard v-step at 2h*, with ``--config`` each ``configs/*.cfg`` of the change;
+- ``python3 -m pytest tests/test_acceptance.py -q -s``, the side's own
+  acceptance suite.
 
-Every command writes into its own directory outside the copies.  The script
-then compares the two sides' directories file by file, and each command's
-stdout and exit status with the side's output path masked.  A workload's
+Every command but the last writes into its own directory outside the copies.
+The script then compares the two sides' directories file by file, and each
+command's stdout and exit status with the side's output path masked.  Of the
+acceptance suite it compares the exit status and the ``[PASS]/[FAIL]
+criterion N: ...`` lines, with every seconds figure masked.  A workload's
 ``result.json`` holds clock readings and peak memory and is left out; an
 ``.npz`` is compared member by member, since its zip headers hold the write
 time.  The script prints each file that differs and exits 1 if any does.
@@ -26,6 +30,7 @@ from __future__ import annotations
 import argparse
 import glob
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -40,6 +45,9 @@ SUBCOMMANDS = {"run": ["run"], "verify": ["verify"], "sweep-nu": ["sweep-nu"],
                "probe-contraction": ["probe-contraction"],
                "probe-contraction-2hstar": ["probe-contraction", "--override-h-gate"]}
 GRAINFLOW = "import sys; from grainflow.cli import main; sys.exit(main(sys.argv[1:]))"
+ACCEPTANCE = ["-m", "pytest", "tests/test_acceptance.py", "-q", "-s"]
+CRITERION = re.compile(r"\[(?:PASS|FAIL)\] criterion \d+: .*")
+SECONDS = re.compile(r"\d+(?:\.\d+)?s\b")
 
 
 def commands(root: str) -> dict:
@@ -58,7 +66,8 @@ def commands(root: str) -> dict:
 
 
 def run_side(root: str, cmds: dict, outputs: str) -> dict:
-    """Runs every command in root; returns (exit status, masked stdout) by name."""
+    """Runs every command in root, then the acceptance suite; returns (exit
+    status, masked stdout) by name, the suite's under ``acceptance``."""
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), PYTHONDONTWRITEBYTECODE="1",
                OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     results = {}
@@ -69,6 +78,12 @@ def run_side(root: str, cmds: dict, outputs: str) -> dict:
         print(f"{os.path.basename(outputs)} {name}: exit {proc.returncode}", file=sys.stderr,
               flush=True)
         results[name] = (proc.returncode, proc.stdout.replace(outputs, "<out>"))
+    proc = subprocess.run([sys.executable, *ACCEPTANCE], cwd=root, env=env,
+                          capture_output=True, text=True)
+    print(f"{os.path.basename(outputs)} acceptance: exit {proc.returncode}", file=sys.stderr,
+          flush=True)
+    lines = [SECONDS.sub("<t>s", m) for m in CRITERION.findall(proc.stdout)]
+    results["acceptance"] = (proc.returncode, "\n".join(lines))
     return results
 
 
@@ -105,7 +120,7 @@ def main(argv=None) -> int:
         cmds = commands(roots["change"])
         results = {side: run_side(roots[side], cmds, outputs[side]) for side in roots}
         trees = {side: tree(outputs[side]) for side in roots}
-        differ = [f"{name}: {what}" for name in cmds
+        differ = [f"{name}: {what}" for name in [*cmds, "acceptance"]
                   for what, i in (("exit status", 0), ("stdout", 1))
                   if results["parent"][name][i] != results["change"][name][i]]
         differ += [path for path in sorted(set(trees["parent"]) | set(trees["change"]))
@@ -114,7 +129,8 @@ def main(argv=None) -> int:
         n_files = len(set(trees["parent"]) | set(trees["change"]))
 
     print(f"parent {commits['parent']}\nchange {commits['change']}")
-    print(f"{len(cmds)} commands, {n_files} files")
+    print(f"{len(cmds)} commands and the acceptance suite, {n_files} files")
+    print("acceptance:\n  " + results["change"]["acceptance"][1].replace("\n", "\n  "))
     if differ:
         print("differ:\n  " + "\n  ".join(differ))
         return 1

@@ -38,6 +38,7 @@ from .scheme import (
 )
 from .thetastep import (
     ThetaStepReport,
+    WarmStart,
     oracle_theta_min,
     theta_step,
 )

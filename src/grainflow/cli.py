@@ -393,6 +393,7 @@ def _checked(cast, ok, why):
 _positive_int = _checked(int, lambda n: n >= 1, "must be at least 1")
 _nonnegative_int = _checked(int, lambda n: n >= 0, "must be nonnegative")
 _finite_float = _checked(float, math.isfinite, "must be finite")
+_nonnegative_float = _checked(_finite_float, lambda x: x >= 0.0, "must be nonnegative")
 _nonempty = _checked(str, bool, "must not be empty")
 
 
@@ -402,7 +403,7 @@ def _initial_state(cfg, grid, model):
         grid,
         model,
         seed=cfg.seed,
-        amplitude=cfg.get("init", "amplitude", default=0.8, cast=_finite_float),
+        amplitude=cfg.get("init", "amplitude", default=0.8, cast=_nonnegative_float),
         n_grains=cfg.get("init", "n_grains", default=4, cast=_positive_int),
     )
 

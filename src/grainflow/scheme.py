@@ -13,8 +13,8 @@ outside the well-posedness hypotheses.
 The v-step is ``v_step(..., h, fused=True)``: one proximal-gradient loop that
 refreshes the coupling at every iteration, with the fixed point of the
 paper's Banach map, which the verification path runs.  Each theta-step stops
-at the gap the dissipation budget can absorb (``gap_tol``), and hands the
-next its dual and the PDHG start ratio it learns.
+at the gap the dissipation budget can absorb (``gap_tol``), from the dual and
+the PDHG start ratio that the run's one ``WarmStart`` carries between them.
 A :class:`Trajectory` holds the per-step energies and reports, which the
 checks read; it keeps no states.  States reach a caller only through the
 sink passed to :func:`run`, at the record steps.
@@ -30,7 +30,7 @@ from .energy import free_energy
 from .grid import PhaseState
 from .model import (CheckCondition, ModelSpec, SolverError, ValidationReport, check_a4,
                     require_step)
-from .thetastep import StartRatio, theta_step
+from .thetastep import WarmStart, theta_step
 from .vstep import v_step
 
 __all__ = [
@@ -154,24 +154,19 @@ def run(init: PhaseState, model: ModelSpec, params: SchemeParams, sink=None) -> 
     energies = [free_energy(state, model, nu)]
     reports = []
     t_grid = h * np.arange(params.n_steps + 1)
-    warm_dual = None
-    start = StartRatio(init.grid.dim)
+    warm = WarmStart()
 
     for i in range(1, params.n_steps + 1):
         # the theta gap feeds straight into the per-step dissipation slack;
         # 1e-9*(1+|F_prev|) sits 10x inside the 1e-8*(1+|F_prev|) budget
         gap_budget = 1e-9 * (1.0 + abs(energies[-1].total))
-        ratio = start.propose()
         try:
             v_new, vrep = v_step((state.w, state.eta), state.theta, model, nu, h,
                                  fused=True)
             theta_new, trep = theta_step(state.theta, v_new, model, nu, h,
-                                         gap_tol=gap_budget, warm_dual=warm_dual,
-                                         start_ratio=ratio)
+                                         gap_tol=gap_budget, warm=warm)
         except SolverError as err:
             raise SolverError(f"step {i}: {err}") from err
-        warm_dual = trep.dual
-        start.learn(trep.sweeps)
 
         dw = v_new[0].values - state.w.values
         de = v_new[1].values - state.eta.values
@@ -192,7 +187,7 @@ def run(init: PhaseState, model: ModelSpec, params: SchemeParams, sink=None) -> 
             v_outer_iters=vrep.outer_iters,
             v_inner_iters=vrep.inner_iters_total,
             theta_iters=trep.iters,
-            theta_start_ratio=ratio,
+            theta_start_ratio=trep.start_ratio,
             duality_gap=trep.duality_gap,
             contraction_ratio=vrep.final_contraction_ratio,
             box_violation=vrep.box_violation,

@@ -17,7 +17,7 @@ is the indicator of the ball |p| <= a when nu b = 0 and
 nu = 0 needs no smoothing.
 
 The step sizes are tau = r/||grad|| and sigma = 1/(r ||grad||), so that
-tau*sigma*||grad||^2 = 1, with r = ``start_ratio`` (StartRatio) at the start.
+tau*sigma*||grad||^2 = 1, from r = r0 = 1/16 or the ratio a WarmStart proposes.
 They adapt by one rule.  When the gap of the last iterate stalls (it fails to
 halve over a window of 5 certificates), r jumps down towards the plateau
 level the remaining gap calls for, with a floor at 1/4096 of the start.  A
@@ -41,7 +41,7 @@ included for cross-checking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +51,7 @@ from .model import ModelSpec, SolverError, require_step
 
 __all__ = [
     "ThetaStepReport",
-    "StartRatio",
+    "WarmStart",
     "theta_step",
     "oracle_theta_min",
 ]
@@ -64,34 +64,35 @@ class ThetaStepReport:
     duality_gap: float
     linf_in: float
     linf_out: float
-    dual: np.ndarray = field(default=None, repr=False, compare=False)  # (dim,) + grid shape
+    start_ratio: float  # the PDHG step ratio the solve started from
 
 
-_R0 = {1: 0.125, 2: 0.0625}  # the default start ratio by grid dimension
+_R0 = 0.0625  # the PDHG start ratio of a cold solve
 _RHO = 1.8  # over-relaxation of the PDHG sweep (_PdhgLoop), in (0, 2)
 _MAX_ITERS = 400_000  # Newton steps plus PDHG sweeps per solve
 _CHECK_EVERY = 125  # PDHG sweeps between two gap certificates
 _CHANGE_TOL = 1e-10  # iterate-change stop when a0 has zeros, times 1 + max|theta_prev|
 
 
-class StartRatio:
-    """The PDHG start ratio r a run carries across its theta-steps, from
-    r0 = 1/8 in 1D and 1/16 in 2D.  Once ``wait`` solves at r have passed, a
-    solve starts at 2r (or r/2), and r takes that value when the solve needs
-    fewer than 0.9x the moving average (weight 1/4) of the sweeps at r; a
-    failed trial doubles its direction's wait, from 4 up to 64.  r stays in
-    [r0/64, 8 r0] and learns only from the sweep counts of solves that ran
-    PDHG, so a Newton-certified 1D solve leaves it untouched."""
+class WarmStart:
+    """The last ``dual`` of a run's theta-solves (None at first) and the PDHG
+    start ratio r, from r0 = 1/16 on every grid; :func:`theta_step` reads and
+    updates both.  Once ``wait`` solves at r have passed, a solve starts at 2r
+    (or r/2), and r takes that value when the solve needs fewer than 0.9x the
+    moving average (weight 1/4) of the sweeps at r; a failed trial doubles its
+    direction's wait, from 4 up to 64.  r stays in [r0/64, 8 r0] and learns
+    only from the sweep counts of solves that ran PDHG, so a Newton-certified
+    1D solve leaves it untouched."""
 
-    def __init__(self, dim: int):
-        self.r0 = self.ratio = _R0[dim]
-        self.mean = self.trial = None
+    def __init__(self):
+        self.ratio = _R0
+        self.dual = self.mean = self.trial = None
         self.wait, self.due = {2.0: 4, 0.5: 4}, {2.0: 4, 0.5: 4}
 
     def propose(self) -> float:
         """The start ratio of the next solve."""
         self.trial = next((f for f, d in self.due.items() if d <= 0
-                           and self.r0 / 64.0 <= f * self.ratio <= 8.0 * self.r0), None)
+                           and _R0 / 64.0 <= f * self.ratio <= 8.0 * _R0), None)
         return self.ratio * (self.trial or 1.0)
 
     def learn(self, sweeps: int):
@@ -109,7 +110,7 @@ class StartRatio:
 
 
 def theta_step(theta_prev: ScalarField, v_new, model: ModelSpec, nu: float, h: float,
-               gap_tol: float = 1e-10, warm_dual=None, start_ratio: float = None):
+               gap_tol: float = 1e-10, warm: WarmStart = None):
     """Solve one theta-step of size h; returns (theta_new, ThetaStepReport).
 
     A solve stops once the gap at the iterate it returns, checked every
@@ -117,17 +118,18 @@ def theta_step(theta_prev: ScalarField, v_new, model: ModelSpec, nu: float, h: f
     passes the gap its dissipation budget can absorb.  The step sizes keep
     tau*sigma*||grad||^2 = 1 and adapt only through the stall rule in the
     module docstring; the output is certificate-checked either way.
-    ``warm_dual`` may carry the dual state of a previous related solve, and
-    ``start_ratio`` the PDHG step ratio to start from (default r0).
-    ``iters`` in the report counts Newton steps plus PDHG sweeps, and
-    ``_MAX_ITERS`` caps their sum.
+    The solve starts from ``warm``'s dual at its proposed ratio (cold at r0
+    without one), and on success stores its dual there and teaches it the
+    sweeps; a solve that raises leaves ``warm`` as it was.  ``iters`` in the
+    report counts Newton steps plus PDHG sweeps, capped by ``_MAX_ITERS``.
     """
     grid = theta_prev.grid
-    ratio0 = start_ratio if start_ratio is not None else _R0[grid.dim]
-    require_step(nu, h=h, gap_tol=gap_tol, start_ratio=ratio0)
+    require_step(nu, h=h, gap_tol=gap_tol)
+    warm = WarmStart() if warm is None else warm  # cold: no dual, ratio r0
+    ratio0 = warm.propose()
     a0, aw, bw = model.mobilities(v_new[0].values, v_new[1].values)
     nb = 2.0 * nu * bw if nu != 0.0 else None  # curvature weights of the dual prox
-    loop = _PdhgLoop(theta_prev.values, a0, aw, nb, h, grid.dx, warm_dual)
+    loop = _PdhgLoop(theta_prev.values, a0, aw, nb, h, grid.dx, warm.dual)
     chosen = last = prev_hat = None
     iters = newton = 0
     if grid.dim == 1 and loop.reconstructable and (nb is None or float(nb.min()) > 0.0):
@@ -186,14 +188,11 @@ def theta_step(theta_prev: ScalarField, v_new, model: ModelSpec, nu: float, h: f
         )
 
     t_hat, gap, _ = chosen
-    report = ThetaStepReport(
-        iters=iters,
-        sweeps=iters - newton,
-        duality_gap=gap,
-        linf_in=loop.linf,
-        linf_out=float(np.abs(t_hat).max()),
-        dual=loop.iterate()[1],
-    )
+    report = ThetaStepReport(iters=iters, sweeps=iters - newton, duality_gap=gap,
+                             linf_in=loop.linf, linf_out=float(np.abs(t_hat).max()),
+                             start_ratio=ratio0)
+    warm.dual = loop.iterate()[1]
+    warm.learn(report.sweeps)
     return ScalarField(grid, t_hat), report
 
 

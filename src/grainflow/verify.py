@@ -279,6 +279,8 @@ def random_grains_field(grid: GridSpec, rng, n_grains: int = 4,
     takes exactly n_grains distinct values (provided every site wins a cell)."""
     if n_grains < 1:
         raise ValueError(f"n_grains must be at least 1, got {n_grains}")
+    if amplitude < 0.0:
+        raise ValueError(f"amplitude must be nonnegative, got {amplitude}")
     coords = np.stack(
         np.meshgrid(*[np.arange(n, dtype=float) for n in grid.shape], indexing="ij"),
         axis=-1,

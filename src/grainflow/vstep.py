@@ -97,8 +97,7 @@ def v_step(v_prev, theta_prev: ScalarField, model: ModelSpec, nu: float, h: floa
         lip += float(q2.max()) * mob.curvature_bound
     tau = 1.0 / lip
 
-    loop_args = (q1, q2, model, h, tau, stencil(grid.shape, dx, 2), vol, inner_tol,
-                 _MAX_INNER)
+    loop_args = (q1, q2, model, h, tau, stencil(grid.shape, dx, 2), vol, inner_tol)
 
     if fused:
         v, inner_total, ratio = _inner_prox_gradient(v, v_prev, None, *loop_args)
@@ -153,7 +152,7 @@ def v_step(v_prev, theta_prev: ScalarField, model: ModelSpec, nu: float, h: floa
 
 
 def _inner_prox_gradient(v, v_prev, g_frozen, q1, q2, model: ModelSpec, h, tau,
-                         st, vol, inner_tol, max_inner):
+                         st, vol, inner_tol):
     """Proximal gradient on the stacked pair v with the coupling frozen at
     g_frozen, or, when g_frozen is None, refreshed at grad_g(clip(v, 0, 1))
     in every iteration.  gamma acts on w (row 0) only, so eta takes plain
@@ -168,7 +167,7 @@ def _inner_prox_gradient(v, v_prev, g_frozen, q1, q2, model: ModelSpec, h, tau,
     v, v_next = v.copy(), np.empty(v.shape)
     ratio_floor = _ratio_floor(inner_tol)
     ratio = prev_diff = 0.0
-    for j in range(max_inner):
+    for j in range(_MAX_INNER):
         np.subtract(v, v_prev, out=g)
         g *= inv_h
         g -= st.laplacian(v, lap)
@@ -189,7 +188,7 @@ def _inner_prox_gradient(v, v_prev, g_frozen, q1, q2, model: ModelSpec, h, tau,
         if diff <= inner_tol:
             return v, j + 1, ratio
     raise SolverError(
-        f"inner proximal gradient did not reach {inner_tol:.2e} in {max_inner} "
+        f"inner proximal gradient did not reach {inner_tol:.2e} in {_MAX_INNER} "
         f"iterations (last diff {diff:.2e})"
     )
 

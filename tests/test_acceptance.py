@@ -17,6 +17,7 @@ from grainflow import (
     GridSpec,
     ScalarField,
     SchemeParams,
+    WarmStart,
     check_box,
     check_dissipation,
     check_gamma_sandwich,
@@ -151,14 +152,13 @@ def test_criterion_5_comparison_and_nonexpansiveness():
         a0, _, _ = model.mobilities(v[0].values, v[1].values)
         vol = grid.cell_volume
         h = 0.5 * h_star(model)
-        dual = None
+        warm = WarmStart()  # one per config, as run carries one per trajectory
         for _ in range(50):
             lo = random_smooth_field(grid, rng, 0.6)
             bump = np.abs(random_smooth_field(grid, rng, 0.3).values)
             hi = ScalarField(grid, lo.values + 0.08 + bump)
-            lo_t, lo_r = theta_step(lo, v, model, nu, h, warm_dual=dual)
-            hi_t, hi_r = theta_step(hi, v, model, nu, h, warm_dual=lo_r.dual)
-            dual = hi_r.dual
+            lo_t, _ = theta_step(lo, v, model, nu, h, warm=warm)
+            hi_t, _ = theta_step(hi, v, model, nu, h, warm=warm)
             worst_excess = max(
                 worst_excess, float(np.maximum(lo_t.values - hi_t.values, 0.0).max())
             )

@@ -270,7 +270,7 @@ def test_energy_log_records_solver_fields(tmp_path):
     fields = ("v_inner_iters", "theta_start_ratio", "duality_gap", "contraction_ratio")
     assert all(rows[0][f] == 0.0 for f in fields)
     # 1D theta-steps are certified by Newton, so the start ratio stays r0
-    assert {row["theta_start_ratio"] for row in rows[1:]} == {0.125}
+    assert {row["theta_start_ratio"] for row in rows[1:]} == {0.0625}
     for prev, row in zip(rows, rows[1:]):
         # the time loop refreshes the coupling at every v-step iteration
         assert row["v_inner_iters"] == row["v_outer_iters"] >= 1
@@ -480,6 +480,11 @@ def test_invalid_scheme_values_exit_2(tmp_path, old, new, message):
      "init.amplitude: cannot parse 'nan' (must be finite)"),
     ("run", "amplitude = 0.6", "amplitude = inf",
      "init.amplitude: cannot parse 'inf' (must be finite)"),
+    ("run", "amplitude = 0.6", "amplitude = -0.8",
+     "init.amplitude: cannot parse '-0.8' (must be nonnegative)"),
+    ("run", "kind = random\nseed = 77\namplitude = 0.6",
+     "kind = grains\nseed = 77\namplitude = -0.8",
+     "init.amplitude: cannot parse '-0.8' (must be nonnegative)"),
     ("verify", "[output]", "[verify]\nn_oracle = 0\n[output]",
      "verify.n_oracle: cannot parse '0' (must be at least 1)"),
     ("probe-contraction", "[output]", "[probe]\nn_probes = 0\n[output]",

@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import os
 
 import numpy as np
@@ -19,7 +18,6 @@ from grainflow import (
     SolverError,
     h_star,
     run,
-    theta_step,
     validate_initial,
 )
 from grainflow.cli import (_initial_state, build_grid, build_model, build_scheme_params,
@@ -270,11 +268,15 @@ def test_learned_start_ratio_stays_in_bounds(g1_model, monkeypatch, power, bound
     # ratio always takes fewer sweeps: the ratio runs to its bound and stops
     r0 = 0.0625
 
-    def rigged(*args, start_ratio, **kwargs):
-        theta, rep = theta_step(*args, start_ratio=start_ratio, **kwargs)
-        return theta, dataclasses.replace(rep, sweeps=round(1000 * (start_ratio / r0) ** power))
+    class Rigged(scheme.WarmStart):
+        def propose(self):
+            self.proposed = super().propose()
+            return self.proposed
 
-    monkeypatch.setattr(scheme, "theta_step", rigged)
+        def learn(self, sweeps):
+            super().learn(round(1000 * (self.proposed / r0) ** power))
+
+    monkeypatch.setattr(scheme, "WarmStart", Rigged)
     grid = GridSpec(2, (4, 4), 1.0)
     params = SchemeParams(h=0.5 * h_star(g1_model), nu=0.1, n_steps=100, record_every=100)
     traj = run(make_initial("random", grid, g1_model, seed=7), g1_model, params)
@@ -286,18 +288,18 @@ def test_learned_start_ratio_stays_in_bounds(g1_model, monkeypatch, power, bound
 def test_newton_certified_run_never_teaches_the_start_ratio(g1_model, monkeypatch):
     seen = []
 
-    class Watched(scheme.StartRatio):
+    class Watched(scheme.WarmStart):
         def learn(self, sweeps):
             before = dict(vars(self), due=dict(self.due), wait=dict(self.wait))
             super().learn(sweeps)
             seen.append((sweeps, before == vars(self)))
 
-    monkeypatch.setattr(scheme, "StartRatio", Watched)
+    monkeypatch.setattr(scheme, "WarmStart", Watched)
     grid = GridSpec(1, (32,), 1.0)
     params = SchemeParams(h=0.5 * h_star(g1_model), nu=0.1, n_steps=30, record_every=30)
     traj = run(make_initial("random", grid, g1_model, seed=11), g1_model, params)
     assert seen == [(0, True)] * 30
-    assert {r.theta_start_ratio for r in traj.reports} == {0.125}
+    assert {r.theta_start_ratio for r in traj.reports} == {0.0625}
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from grainflow import (
     Potential,
     PotentialSpec,
     ScalarField,
+    WarmStart,
     h_star,
     oracle_theta_min,
     theta_step,
@@ -182,7 +183,8 @@ def test_dual_is_projected_onto_the_ball(g1_model, rng, nu):
     # relaxed sweeps can carry the dual out of |p| <= a on the cells where
     # F* is the ball's indicator: every cell at nu = 0, the cells with nb = 0
     # (here every other one) at nu > 0.  certify projects it back in place,
-    # which keeps the gap finite, and the report's dual lies in the ball too
+    # which keeps the gap finite, and the dual a solve hands on lies in the
+    # ball too
     shape = (12, 9)
     grid = GridSpec(2, shape, 1.0)
     h = bench_h(g1_model)
@@ -207,8 +209,9 @@ def test_dual_is_projected_onto_the_ball(g1_model, rng, nu):
     assert np.isfinite(loop.certify()[1])
     assert np.all((magnitude(loop.iterate()[1]) <= aw * (1.0 + 1e-14))[ball])
     if nb is None:
-        _, rep = theta_step(theta0, v, g1_model, 0.0, h)
-        assert np.all(magnitude(rep.dual) <= aw * (1.0 + 1e-14))
+        warm = WarmStart()
+        theta_step(theta0, v, g1_model, 0.0, h, warm=warm)
+        assert np.all(magnitude(warm.dual) <= aw * (1.0 + 1e-14))
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +228,9 @@ def test_weighted_l2_nonexpansive(g1_model, rng):
         t01 = random_smooth_field(grid, rng, 0.6)
         t02 = ScalarField(grid, t01.values + 0.1
                           + np.abs(random_smooth_field(grid, rng, 0.3).values))
-        o1, r1 = theta_step(t01, v, g1_model, nu, h, gap_tol=1e-11)
-        o2, r2 = theta_step(t02, v, g1_model, nu, h, gap_tol=1e-11, warm_dual=r1.dual)
+        warm = WarmStart()
+        o1, _ = theta_step(t01, v, g1_model, nu, h, gap_tol=1e-11, warm=warm)
+        o2, _ = theta_step(t02, v, g1_model, nu, h, gap_tol=1e-11, warm=warm)
         lhs = weighted_norm(a0, o1.values - o2.values, vol)
         rhs = weighted_norm(a0, t01.values - t02.values, vol)
         assert lhs <= rhs + 1e-8
@@ -252,8 +256,9 @@ def test_unique_minimizer_from_two_initializations(g1_model, rng):
     theta0 = random_smooth_field(grid, rng, 0.8)
     h = bench_h(g1_model)
     out1, rep1 = theta_step(theta0, v, g1_model, 0.1, h, gap_tol=1e-13)
-    other = tuple(np.full(grid.shape, 0.3) for _ in range(grid.dim))
-    out2, _ = theta_step(theta0, v, g1_model, 0.1, h, gap_tol=1e-13, warm_dual=other)
+    other = WarmStart()
+    other.dual = tuple(np.full(grid.shape, 0.3) for _ in range(grid.dim))
+    out2, _ = theta_step(theta0, v, g1_model, 0.1, h, gap_tol=1e-13, warm=other)
     assert float(np.abs(out1.values - out2.values).max()) <= 1e-8
 
 
@@ -282,13 +287,12 @@ def test_newton_solves_1d_steps_without_pdhg(g1_model, rng, monkeypatch, nu, dx)
     monkeypatch.setattr(_PdhgLoop, "advance", lambda self, n: sweeps.append(n))
     grid = GridSpec(1, (64,), dx)
     h = bench_h(g1_model)
-    theta, dual = random_smooth_field(grid, rng, 0.8), None
+    theta, warm = random_smooth_field(grid, rng, 0.8), WarmStart()
     for _ in range(4):
         v = random_admissible_v(grid, g1_model, rng)
-        out, rep = theta_step(theta, v, g1_model, nu, h, warm_dual=dual)
+        theta, rep = theta_step(theta, v, g1_model, nu, h, warm=warm)
         assert rep.duality_gap <= 1e-10  # the default gap_tol
         assert rep.linf_out <= rep.linf_in
-        theta, dual = out, rep.dual
     assert sweeps == []
 
 
@@ -376,19 +380,25 @@ def test_oracle_rejects_large_instances(g1_model):
 # the start ratio
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("shape, dim_ratio", [((12, 9), 0.0625), ((48,), 0.125)])
-def test_default_start_ratio_is_r0(g1_model, rng, shape, dim_ratio):
+@pytest.mark.parametrize("shape", [(12, 9), (48,)])
+def test_default_start_ratio_is_r0(g1_model, rng, shape):
+    # a cold solve and the first solve of a fresh WarmStart both start at
+    # r0 = 1/16, whatever the dimension
     grid = GridSpec(len(shape), shape, 1.0)
     v = random_admissible_v(grid, g1_model, rng)
     theta0 = ScalarField(grid, 0.8 * np.tanh(rng.normal(size=shape)))
     h = bench_h(g1_model)
     got, rep = theta_step(theta0, v, g1_model, 0.0, h)
-    want, rep_r0 = theta_step(theta0, v, g1_model, 0.0, h, start_ratio=dim_ratio)
+    want, rep_r0 = theta_step(theta0, v, g1_model, 0.0, h, warm=WarmStart())
+    assert rep.start_ratio == rep_r0.start_ratio == 0.0625
     assert np.array_equal(got.values, want.values)
     assert (rep.iters, rep.sweeps) == (rep_r0.iters, rep_r0.sweeps)
     if len(shape) == 2:  # in 1D Newton certifies the step, and no ratio is used
-        _, other = theta_step(theta0, v, g1_model, 0.0, h, start_ratio=4.0 * dim_ratio)
-        assert rep.sweeps > 0 and other.iters != rep.iters
+        other = WarmStart()
+        other.ratio = 4.0 * 0.0625
+        _, rep_other = theta_step(theta0, v, g1_model, 0.0, h, warm=other)
+        assert rep_other.start_ratio == 0.25
+        assert rep.sweeps > 0 and rep_other.iters != rep.iters
 
 
 def drive(learner, sweeps_at, n):
@@ -404,7 +414,7 @@ def drive(learner, sweeps_at, n):
 def test_start_ratio_backs_off_failed_trials():
     # a problem whose best ratio is r0: every trial fails, and each failure
     # doubles the wait of its direction up to 64 solves
-    learner = thetastep.StartRatio(2)
+    learner = WarmStart()
     r0 = learner.ratio
     ratios = drive(learner, lambda r: 1000 if r == r0 else 1500, 1000)
     assert learner.ratio == r0 and learner.wait == {2.0: 64, 0.5: 64}
@@ -415,7 +425,7 @@ def test_start_ratio_backs_off_failed_trials():
 
 def test_start_ratio_adopts_a_better_ratio():
     # sweeps grow with the distance of log2 r from its best value r0/4
-    learner = thetastep.StartRatio(2)
+    learner = WarmStart()
     r0 = learner.ratio
     ratios = drive(learner, lambda r: 1000 + 1000 * abs(int(np.log2(4.0 * r / r0))), 200)
     assert learner.ratio == r0 / 4.0 and ratios[-1] in (r0 / 8.0, r0 / 4.0, r0 / 2.0)
@@ -424,6 +434,27 @@ def test_start_ratio_adopts_a_better_ratio():
     learner.propose()
     learner.learn(0)
     assert vars(learner) == dict(state, trial=learner.trial)
+
+
+def test_failed_solve_leaves_the_warm_start_as_it_was(g1_model, rng, monkeypatch):
+    # a 2D solve that raises hands on neither its dual nor its sweeps: the
+    # next solve starts from the last successful one's state
+    grid = GridSpec(2, (8, 8), 1.0)
+    h = bench_h(g1_model)
+    warm = WarmStart()
+    for _ in range(5):  # a mean, a trial and a learned dual to keep
+        v = random_admissible_v(grid, g1_model, rng)
+        theta_step(random_smooth_field(grid, rng, 0.8), v, g1_model, 0.0, h, warm=warm)
+    before = dict(vars(warm), wait=dict(warm.wait), due=dict(warm.due))
+    dual = warm.dual.copy()
+    monkeypatch.setattr(thetastep, "_MAX_ITERS", 250)
+    with pytest.raises(SolverError, match="above tolerance after 250 iterations"):
+        theta_step(random_smooth_field(grid, rng, 0.8), random_admissible_v(grid, g1_model, rng),
+                   g1_model, 0.0, h, warm=warm)
+    after = vars(warm)
+    assert after["dual"] is before["dual"] and np.array_equal(warm.dual, dual)
+    for name in ("ratio", "mean", "wait", "due"):
+        assert after[name] == before[name], name
 
 
 # ---------------------------------------------------------------------------
@@ -482,9 +513,3 @@ def test_params_validation(g1_model, rng, monkeypatch):
                             (np.inf, "^nu must be finite, got inf$")):
             with pytest.raises(ValueError, match=message):
                 theta_step(theta0, v, g1_model, nu, 0.1)
-        for ratio, message in ((0.0, "^start_ratio must be positive$"),
-                               (-1.0 / 16.0, "^start_ratio must be positive$"),
-                               (np.nan, "^start_ratio must be finite, got nan$"),
-                               (np.inf, "^start_ratio must be finite, got inf$")):
-            with pytest.raises(ValueError, match=message):
-                theta_step(theta0, v, g1_model, 0.0, 0.1, start_ratio=ratio)

@@ -186,6 +186,8 @@ def test_grains_field_distinct_values(grid_2d):
     for n in (0, -2):
         with pytest.raises(ValueError, match="n_grains must be at least 1"):
             random_grains_field(grid_2d, np.random.default_rng(3), n_grains=n)
+    with pytest.raises(ValueError, match="^amplitude must be nonnegative, got -0.8$"):
+        random_grains_field(grid_2d, np.random.default_rng(3), amplitude=-0.8)
 
 
 def test_grains_initial_state_admissible(g1_model):

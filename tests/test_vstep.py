@@ -264,7 +264,7 @@ def test_inner_loop_matches_allocating_reference(setting, mobility, nu, shape, r
             return inner(*args)
         v_in = v.copy()
         ref = reference_inner_prox_gradient(*v_in.copy(), *v_prev, *g_frozen, q1, q2,
-                                            model, h, tau, single, *rest)
+                                            model, h, tau, single, *rest, vstep._MAX_INNER)
         got = inner(*args)
         assert np.array_equal(got[0][0], ref[0]) and np.array_equal(got[0][1], ref[1])
         assert got[1] == ref[2]
